@@ -21,7 +21,6 @@ from .kgstore import (
     EdgeTable,
     EntitySet,
     KGStore,
-    StripedMap,
     extract_entities,
     ingest_edges,
     load_entity_embeddings,

@@ -134,7 +134,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_query3(args) -> int:
-    store, labels = load_dataset_dir(args.data, workers=args.threads)
+    store, labels = load_dataset_dir(args.data)
     query = ThreeHopQuery(
         anchor1=_resolve_entity(args.anchor1, labels, "anchor1"),
         rel1=args.rel1,
@@ -159,7 +159,7 @@ def _cmd_query3(args) -> int:
 
 
 def _cmd_pathq(args) -> int:
-    store, labels = load_dataset_dir(args.data, workers=args.threads)
+    store, labels = load_dataset_dir(args.data)
     source = _resolve_entity(args.source, labels, "source")
     target = _resolve_entity(args.target, labels, "target")
     if args.mode == "oracle":

@@ -37,10 +37,6 @@ class RelationRangeError(KghopError):
     """A relation id falls outside 0..num_relations-1."""
 
 
-class SealError(KghopError):
-    """A build-phase mutation was attempted on a sealed store."""
-
-
 class ArgumentError(KghopError):
     """Invalid argument to a library operation."""
 

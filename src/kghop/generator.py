@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError
-from .kgstore import EdgeTable, KGStore, StripedMap
+from .errors import ArgumentError, DuplicateIdError, ParseError
+from .kgstore import KGStore, parse_uint
 
 AWARD_ANCHOR_LABEL = "TURING_AWARD"
 FIELD_ANCHOR_LABEL = "DEEP_LEARNING"
@@ -104,30 +104,19 @@ class SyntheticDataset:
         return self.labels[FIELD_ANCHOR_LABEL]
 
     def build_store(self) -> KGStore:
-        """Sealed KGStore directly from the in-memory arrays (no text round trip)."""
-        tables = []
-        for rel in range(self.spec.num_relations):
-            mask = self.rels == rel
-            heads = self.heads[mask]
-            tails = self.tails[mask]
-            order = np.lexsort((tails, heads))
-            heads = heads[order]
-            tails = tails[order]
-            uniq, starts = np.unique(heads, return_index=True)
-            bounds = np.append(starts, len(heads))
-            adj = {
-                int(uniq[i]): tails[bounds[i] : bounds[i + 1]]
-                for i in range(len(uniq))
-            }
-            tables.append(EdgeTable.from_sorted_arrays(rel, adj))
-        emb_map = StripedMap()
-        for eid in range(self.spec.num_entities):
-            emb_map.insert(eid, self.entity_embeddings[eid])
-        store = KGStore(
-            self.spec.dim, tables, emb_map, self.relation_embeddings
+        """KGStore directly from the in-memory arrays (no text round trip).
+
+        The store copies the arrays, so later edits to the dataset do not
+        reach it.
+        """
+        return KGStore(
+            np.arange(self.spec.num_entities, dtype=np.uint64),
+            self.entity_embeddings,
+            self.relation_embeddings,
+            self.heads,
+            self.rels,
+            self.tails,
         )
-        store.seal()
-        return store
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         """Emit the dataset files; returns name -> path."""
@@ -206,7 +195,7 @@ def generate(spec: GeneratorSpec) -> SyntheticDataset:
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
-    """Parse a label<TAB>entity_id map file."""
+    """Parse a label<TAB>entity_id map file; a repeated label is an error."""
     labels: dict[str, int] = {}
     for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
         line = raw.strip()
@@ -215,21 +204,20 @@ def load_labels(path: str | Path) -> dict[str, int]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(i + 1, f"expected label<TAB>id, got {line!r}")
-        try:
-            labels[parts[0]] = int(parts[1])
-        except ValueError:
-            raise ParseError(i + 1, f"invalid entity id {parts[1]!r}") from None
+        label = parts[0]
+        if label in labels:
+            raise DuplicateIdError(f"line {i + 1}: duplicate label {label!r}")
+        labels[label] = parse_uint(parts[1], i + 1, "entity id")
     return labels
 
 
-def load_dataset_dir(data_dir: str | Path, workers: int = 1) -> tuple[KGStore, dict[str, int]]:
-    """Load a generated dataset directory into a sealed store plus labels."""
+def load_dataset_dir(data_dir: str | Path) -> tuple[KGStore, dict[str, int]]:
+    """Load a generated dataset directory into a store plus labels."""
     d = Path(data_dir)
     store = KGStore.from_files(
         d / DATASET_FILES["edges"],
         d / DATASET_FILES["entities"],
         d / DATASET_FILES["relations"],
-        workers=workers,
     )
     labels_path = d / DATASET_FILES["labels"]
     labels = load_labels(labels_path) if labels_path.exists() else {}

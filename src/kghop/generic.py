@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, QueryError
-from .kgstore import KGStore
+from .kgstore import U64_MAX, KGStore
 from .parallel import WorkerGang, block_bounds
 from .scoring import _block_scores
 from .topk import TopKSelector
@@ -104,6 +104,13 @@ def total_frontier_capacity(k: int, num_hops: int) -> int:
     return capacity
 
 
+def require_entity_ids(source: int, target: int) -> None:
+    """QueryError unless source and target are unsigned 64-bit ids."""
+    for name, eid in (("source", source), ("target", target)):
+        if not 0 <= eid <= U64_MAX:
+            raise QueryError(f"{name} {eid} is not an unsigned 64-bit entity id")
+
+
 def path_composite_embedding(path: Path, store: KGStore) -> np.ndarray:
     """emb(source) plus the path's relation embeddings, summed in hop order."""
     src = store.entity_embedding(path.nodes[0])
@@ -135,7 +142,6 @@ def expand_path(
     into `results`, and the best k remaining children are appended to
     next_frontier.
     """
-    store.require_sealed()
     horizon = path.end()
     composite = path_composite_embedding(path, store)
     target_u = np.uint64(target)
@@ -201,12 +207,12 @@ def multihop_reasoning_generic(
     worker order, so the frontier sequence is identical for every worker
     count.
     """
-    store.require_sealed()
     if num_hops < 1:
         raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
     total_frontier_capacity(k, num_hops)
+    require_entity_ids(source, target)
     if source == target:
         return []
     if store.entity_embedding(source) is None:

@@ -1,21 +1,28 @@
-"""Knowledge-graph storage: edge tables, embedding tables, and loaders.
+"""Knowledge-graph storage: one immutable store of edge and embedding arrays.
 
-The store has two phases. During the build phase, edge tables and the
-entity-embedding map accept concurrent inserts guarded by striped
-(per-bucket-group) locks. After an explicit seal() the store is
-immutable: reads take no locks, edge tails are canonically sorted
-numpy arrays, and entity embeddings are additionally exposed as one
-id-sorted dense matrix for vectorized gathers.
+A KGStore is built once, from arrays, and then only read. It copies
+every array it is given, so later edits to the caller's arrays cannot
+reach it, and every array it exposes is read-only. It holds:
+
+  * the entity ids, sorted, and an (n, dim) entity-embedding matrix
+    whose row i belongs to ids[i] (the only copy of each embedding);
+  * the (num_relations, dim) relation-embedding matrix;
+  * per relation, an EdgeTable in CSR form: tails sorted by (head,
+    tail), a head -> tails-view index, and the cached head and tail sets.
+
+Scalar lookups (one entity's embedding, one head's tails) go through
+dicts; the sorted arrays back the vectorized gather.
 
 File formats (UTF-8, LF, no header):
-  edge list:  head<TAB>relation<TAB>tail        unsigned decimal integers
-  embeddings: id<TAB>v0 v1 ... v{dim-1}          components space-separated floats
+  edge list:  head<TAB>relation<TAB>tail        ASCII decimal integers
+  embeddings: id<TAB>v0 v1 ... v{dim-1}          components whitespace-separated floats
+Ids are ASCII digits only (no sign, '_' or spaces) and at most 2**64-1.
+Float components are ASCII without '_' and must be finite.
 """
 
 from __future__ import annotations
 
-import math
-import threading
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,143 +37,29 @@ from .errors import (
     EmbeddingValueError,
     ParseError,
     RelationRangeError,
-    SealError,
 )
-from .parallel import WorkerGang, block_bounds
 
 U64_MAX = 2**64 - 1
-_EMPTY_U64 = np.empty(0, dtype=np.uint64)
+_U64_DIGITS = len(str(U64_MAX))
 
 
-class StripedMap:
-    """Insert-only hash map with striped locks for the build phase.
-
-    Inserts are atomic per key: each key hashes to one stripe whose lock
-    serializes writers. Duplicate keys are rejected (silent overwrite
-    would make ingestion nondeterministic). After seal(), inserts raise
-    and finds are plain dict reads with no synchronization.
-    """
-
-    def __init__(self, num_stripes: int = 64):
-        if num_stripes < 1:
-            raise ArgumentError("num_stripes must be >= 1")
-        self._stripes: list[dict] = [{} for _ in range(num_stripes)]
-        self._locks = [threading.Lock() for _ in range(num_stripes)]
-        self._n = num_stripes
-        self._sealed = False
-
-    def _stripe(self, key) -> int:
-        return hash(key) % self._n
-
-    def insert(self, key, value) -> None:
-        if self._sealed:
-            raise SealError("insert after seal")
-        idx = self._stripe(key)
-        with self._locks[idx]:
-            stripe = self._stripes[idx]
-            if key in stripe:
-                raise DuplicateIdError(f"duplicate id {key}")
-            stripe[key] = value
-
-    def get(self, key):
-        """Value for key, or None. Lock-free; contractual only after seal."""
-        return self._stripes[self._stripe(key)].get(key)
-
-    def seal(self) -> None:
-        self._sealed = True
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._stripes)
-
-    def keys(self) -> Iterator:
-        for stripe in self._stripes:
-            yield from stripe.keys()
-
-    def items(self) -> Iterator:
-        for stripe in self._stripes:
-            yield from stripe.items()
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-class EdgeTable:
-    """Multi-map head -> tails for a single relation.
-
-    Build phase appends under striped locks; duplicates are kept (the
-    graph is a multigraph). seal() merges the stripes and sorts every
-    tail list ascending, so the sealed table is canonical no matter how
-    concurrent inserts interleaved.
-    """
-
-    def __init__(self, relation: int, num_stripes: int = 16):
-        self.relation = relation
-        self._stripes: list[dict[int, list[int]]] = [{} for _ in range(num_stripes)]
-        self._locks = [threading.Lock() for _ in range(num_stripes)]
-        self._n = num_stripes
-        self._adj: dict[int, np.ndarray] | None = None
-
-    @classmethod
-    def from_sorted_arrays(cls, relation: int, adj: dict[int, np.ndarray]) -> "EdgeTable":
-        """Pre-sealed table from head -> sorted uint64 tails (generator fast path)."""
-        table = cls(relation)
-        table._adj = adj
-        return table
-
-    @property
-    def sealed(self) -> bool:
-        return self._adj is not None
-
-    def insert(self, head: int, tail: int) -> None:
-        if self._adj is not None:
-            raise SealError("insert after seal")
-        idx = hash(head) % self._n
-        with self._locks[idx]:
-            self._stripes[idx].setdefault(head, []).append(tail)
-
-    def seal(self) -> None:
-        if self._adj is not None:
-            return
-        adj: dict[int, np.ndarray] = {}
-        for stripe in self._stripes:
-            for head, tails in stripe.items():
-                adj[head] = np.sort(np.array(tails, dtype=np.uint64))
-        self._adj = adj
-        self._stripes = []
-
-    def _require_sealed(self) -> dict[int, np.ndarray]:
-        if self._adj is None:
-            raise SealError("edge table not sealed")
-        return self._adj
-
-    def tails(self, head: int) -> np.ndarray:
-        """Sorted tails for head; an absent head yields an empty array."""
-        return self._require_sealed().get(head, _EMPTY_U64)
-
-    def heads(self) -> Iterator[int]:
-        return iter(self._require_sealed().keys())
-
-    def items(self) -> Iterator[tuple[int, np.ndarray]]:
-        return iter(self._require_sealed().items())
-
-    @property
-    def num_edges(self) -> int:
-        if self._adj is not None:
-            return sum(len(t) for t in self._adj.values())
-        return sum(len(t) for stripe in self._stripes for t in stripe.values())
+_EMPTY_U64 = _frozen(np.empty(0, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
 class EntitySet:
-    """Deduplicated, ascending-sorted entity ids with a role label."""
+    """Deduplicated, ascending-sorted, read-only entity ids."""
 
     ids: np.ndarray
-    role: str = ""
 
     def __post_init__(self):
         norm = np.unique(np.asarray(self.ids, dtype=np.uint64))
-        object.__setattr__(self, "ids", norm)
+        object.__setattr__(self, "ids", _frozen(norm))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -175,122 +68,161 @@ class EntitySet:
         return self.ids.tolist()
 
 
-def _parse_uint(text: str, line_no: int, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(line_no, f"invalid {what} {text!r}") from None
-    if value < 0 or value > U64_MAX:
+class EdgeTable:
+    """Multi-map head -> tails of one relation, in CSR form.
+
+    Tails are sorted by (head, tail), so the table is canonical whatever
+    order the edges came in; duplicates are kept (the graph is a
+    multigraph). tails(head) returns a read-only view into that array.
+    """
+
+    def __init__(self, relation: int, heads: np.ndarray, tails: np.ndarray):
+        self.relation = relation
+        order = np.lexsort((tails, heads))
+        heads = heads[order]
+        self._tails = _frozen(tails[order])
+        uniq, starts = np.unique(heads, return_index=True)
+        ends = np.append(starts[1:], len(heads))
+        self._index: dict[int, np.ndarray] = {
+            h: self._tails[lo:hi]
+            for h, lo, hi in zip(uniq.tolist(), starts.tolist(), ends.tolist())
+        }
+        self.head_set = EntitySet(uniq)
+        self.tail_set = EntitySet(self._tails)
+
+    def tails(self, head: int) -> np.ndarray:
+        """Sorted tails for head; an absent head yields an empty array."""
+        return self._index.get(head, _EMPTY_U64)
+
+    def heads(self) -> Iterator[int]:
+        return iter(self._index.keys())
+
+    def items(self) -> Iterator[tuple[int, np.ndarray]]:
+        return iter(self._index.items())
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._tails)
+
+
+def parse_uint(text: str, line_no: int, what: str) -> int:
+    """An unsigned 64-bit id written as ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(line_no, f"invalid {what} {text!r}")
+    if len(text) > _U64_DIGITS:
+        text = text.lstrip("0") or "0"  # int() refuses strings of over 4300 digits
+        if len(text) > _U64_DIGITS:
+            raise ParseError(line_no, f"{what} of {len(text)} digits outside unsigned 64-bit range")
+    value = int(text)
+    if value > U64_MAX:
         raise ParseError(line_no, f"{what} {value} outside unsigned 64-bit range")
     return value
 
 
-def _materialize(lines: Iterable[str]) -> list[str]:
-    return lines if isinstance(lines, list) else list(lines)
+def _first_repeat(ids: np.ndarray) -> int | None:
+    """Position of the earliest entry of ids that repeats an earlier one, or None."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    return int(repeats.min()) if len(repeats) else None
 
 
 def ingest_edges(
-    edge_stream: Iterable[str], num_relations: int, workers: int = 1
-) -> list[EdgeTable]:
-    """Parse edge lines into per-relation tables, optionally with many inserters.
+    edge_stream: Iterable[str], num_relations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse edge lines into (heads, rels, tails) uint64 arrays, in file order.
 
-    The returned tables are still in the build phase (not sealed); the
-    caller seals them, usually via KGStore.seal(). Blank lines are
-    tolerated (trailing newline). Malformed lines raise ParseError with
-    the 1-based line number; relation ids outside 0..num_relations-1
-    raise RelationRangeError.
+    Blank lines are skipped (trailing newline). A malformed line raises
+    ParseError with its 1-based line number; a relation id outside
+    0..num_relations-1 raises RelationRangeError naming the line.
     """
     if num_relations < 0:
         raise ArgumentError("num_relations must be >= 0")
-    lines = _materialize(edge_stream)
-    tables = [EdgeTable(r) for r in range(num_relations)]
-
-    def work(wid: int) -> None:
-        lo, hi = block_bounds(len(lines), workers, wid)
-        for i in range(lo, hi):
-            line = lines[i].rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(i + 1, f"expected head<TAB>relation<TAB>tail, got {line!r}")
-            head = _parse_uint(parts[0], i + 1, "head id")
-            rel = _parse_uint(parts[1], i + 1, "relation id")
-            tail = _parse_uint(parts[2], i + 1, "tail id")
-            if rel >= num_relations:
-                raise RelationRangeError(
-                    f"line {i + 1}: relation {rel} out of range [0, {num_relations})"
-                )
-            tables[rel].insert(head, tail)
-
-    WorkerGang(workers).run(work)
-    return tables
+    heads, rels, tails = array("Q"), array("Q"), array("Q")
+    for line_no, raw in enumerate(edge_stream, 1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(line_no, f"expected head<TAB>relation<TAB>tail, got {line!r}")
+        head = parse_uint(parts[0], line_no, "head id")
+        rel = parse_uint(parts[1], line_no, "relation id")
+        tail = parse_uint(parts[2], line_no, "tail id")
+        if rel >= num_relations:
+            raise RelationRangeError(
+                f"line {line_no}: relation {rel} out of range [0, {num_relations})"
+            )
+        heads.append(head)
+        rels.append(rel)
+        tails.append(tail)
+    return tuple(np.frombuffer(buf, dtype=np.uint64) for buf in (heads, rels, tails))
 
 
-def _parse_embedding_line(line: str, line_no: int, dim: int) -> tuple[int, np.ndarray]:
-    parts = line.split("\t")
-    if len(parts) != 2:
-        raise ParseError(line_no, f"expected id<TAB>components, got {line!r}")
-    eid = _parse_uint(parts[0], line_no, "id")
-    comps = parts[1].split()
-    if len(comps) != dim:
-        raise DimensionError(f"line {line_no}: expected {dim} components, got {len(comps)}")
-    try:
-        values = [float(c) for c in comps]
-    except ValueError:
-        raise ParseError(line_no, "invalid float component") from None
-    for v in values:
-        if not math.isfinite(v):
-            raise EmbeddingValueError(f"line {line_no}: non-finite component {v!r}")
-    return eid, np.array(values, dtype=np.float64)
+def _parse_vectors(stream: Iterable[str], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, (n, dim) matrix, line numbers) of id<TAB>components lines, in file order.
 
-
-def load_entity_embeddings(
-    stream: Iterable[str], dim: int, workers: int = 1
-) -> StripedMap:
-    """Load entity embeddings into a striped concurrent map (one entry per id)."""
+    The first non-finite component raises EmbeddingValueError naming its line.
+    """
     if dim < 1:
         raise ArgumentError("dim must be >= 1")
-    lines = _materialize(stream)
-    table = StripedMap()
+    ids, values, line_nos = array("Q"), array("d"), array("Q")
+    for line_no, raw in enumerate(stream, 1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(line_no, f"expected id<TAB>components, got {line!r}")
+        eid = parse_uint(parts[0], line_no, "id")
+        comps = parts[1].split()
+        if len(comps) != dim:
+            raise DimensionError(f"line {line_no}: expected {dim} components, got {len(comps)}")
+        if not parts[1].isascii() or "_" in parts[1]:
+            raise ParseError(line_no, "invalid float component")
+        try:
+            values.extend(map(float, comps))
+        except ValueError:
+            raise ParseError(line_no, "invalid float component") from None
+        ids.append(eid)
+        line_nos.append(line_no)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if len(bad):
+        row = matrix[bad[0]]
+        value = float(row[~np.isfinite(row)][0])
+        raise EmbeddingValueError(f"line {line_nos[bad[0]]}: non-finite component {value!r}")
+    return np.frombuffer(ids, dtype=np.uint64), matrix, np.frombuffer(line_nos, dtype=np.uint64)
 
-    def work(wid: int) -> None:
-        lo, hi = block_bounds(len(lines), workers, wid)
-        for i in range(lo, hi):
-            line = lines[i].rstrip("\n")
-            if not line:
-                continue
-            eid, vec = _parse_embedding_line(line, i + 1, dim)
-            try:
-                table.insert(eid, vec)
-            except DuplicateIdError:
-                raise DuplicateIdError(f"line {i + 1}: duplicate entity id {eid}") from None
 
-    WorkerGang(workers).run(work)
-    return table
+def load_entity_embeddings(stream: Iterable[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse entity embedding lines into (ids, (n, dim) matrix), in file order.
+
+    A repeated id raises DuplicateIdError naming the line of the repeat.
+    """
+    ids, matrix, line_nos = _parse_vectors(stream, dim)
+    row = _first_repeat(ids)
+    if row is not None:
+        raise DuplicateIdError(f"line {line_nos[row]}: duplicate entity id {ids[row]}")
+    return ids, matrix
 
 
 def load_relation_embeddings(
     stream: Iterable[str], dim: int, num_relations: int
 ) -> np.ndarray:
     """Load the dense relation-embedding array; ids must cover 0..num_relations-1 exactly once."""
-    if dim < 1:
-        raise ArgumentError("dim must be >= 1")
     if num_relations < 0:
         raise ArgumentError("num_relations must be >= 0")
+    ids, matrix, line_nos = _parse_vectors(stream, dim)
     out = np.zeros((num_relations, dim), dtype=np.float64)
     seen = np.zeros(num_relations, dtype=bool)
-    for i, raw in enumerate(_materialize(stream)):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        rid, vec = _parse_embedding_line(line, i + 1, dim)
+    for rid, line_no, vec in zip(ids.tolist(), line_nos.tolist(), matrix):
         if rid >= num_relations:
             raise CompletenessError(
-                f"line {i + 1}: relation id {rid} out of range [0, {num_relations})"
+                f"line {line_no}: relation id {rid} out of range [0, {num_relations})"
             )
         if seen[rid]:
-            raise CompletenessError(f"line {i + 1}: relation id {rid} repeated")
+            raise CompletenessError(f"line {line_no}: relation id {rid} repeated")
         seen[rid] = True
         out[rid] = vec
     if not seen.all():
@@ -299,86 +231,91 @@ def load_relation_embeddings(
     return out
 
 
-def extract_entities(table: EdgeTable, side: str, role: str = "") -> EntitySet:
-    """Deduplicated sorted ids of one side of a sealed edge table."""
-    if side not in ("head", "tail"):
-        raise ArgumentError(f"side must be 'head' or 'tail', got {side!r}")
-    if not table.sealed:
-        raise SealError("extract_entities requires a sealed table")
+def extract_entities(table: EdgeTable, side: str) -> EntitySet:
+    """The cached deduplicated sorted ids of one side of an edge table."""
     if side == "head":
-        ids = np.fromiter(table.heads(), dtype=np.uint64)
-    else:
-        chunks = [tails for _, tails in table.items()]
-        ids = np.concatenate(chunks) if chunks else _EMPTY_U64
-    return EntitySet(ids=ids, role=role or side)
+        return table.head_set
+    if side == "tail":
+        return table.tail_set
+    raise ArgumentError(f"side must be 'head' or 'tail', got {side!r}")
 
 
 class KGStore:
-    """Relation-grouped edge tables plus entity/relation embedding tables.
+    """Relation-grouped edge tables plus entity and relation embeddings.
 
-    Build with the module loaders (or the synthetic generator's fast
-    path), then seal() exactly once. Query code must only see sealed
-    stores; seal() also builds the id-sorted embedding matrix backing
-    gather_entity_embeddings().
+    Every way of building a store (text files, the synthetic generator,
+    explicit arrays) ends here. The constructor runs seal(), which
+    copies, sorts, indexes and freezes the inputs.
     """
 
     def __init__(
         self,
-        dim: int,
-        edge_tables: list[EdgeTable],
-        entity_embeddings: StripedMap,
-        relation_embeddings: np.ndarray,
+        entity_ids,
+        entity_matrix,
+        relation_embeddings,
+        heads,
+        rels,
+        tails,
     ):
-        if dim < 1:
-            raise ArgumentError("dim must be >= 1")
-        if relation_embeddings.ndim != 2 or relation_embeddings.shape[1] != dim:
+        self._inputs = (entity_ids, entity_matrix, relation_embeddings, heads, rels, tails)
+        self.seal()
+
+    def seal(self) -> None:
+        """Validate, copy, sort, index and freeze the constructor's arrays.
+
+        The constructor calls it; any later call does nothing.
+        """
+        if self._inputs is None:
+            return
+        entity_ids, entity_matrix, relation_embeddings, heads, rels, tails = self._inputs
+        self._inputs = None
+
+        rel_emb = np.array(relation_embeddings, dtype=np.float64)
+        if rel_emb.ndim != 2 or rel_emb.shape[1] < 1:
             raise DimensionError(
-                f"relation embeddings must be (num_relations, {dim}), got {relation_embeddings.shape}"
+                f"relation embeddings must be (num_relations, dim >= 1), got {rel_emb.shape}"
             )
-        if len(edge_tables) != relation_embeddings.shape[0]:
-            raise ArgumentError(
-                f"{len(edge_tables)} edge tables but {relation_embeddings.shape[0]} relation embeddings"
+        self.dim = rel_emb.shape[1]
+        self.relation_embeddings = _frozen(rel_emb)
+
+        ids = np.asarray(entity_ids, dtype=np.uint64)
+        matrix = np.asarray(entity_matrix, dtype=np.float64)
+        if ids.ndim != 1 or matrix.shape != (len(ids), self.dim):
+            raise DimensionError(
+                f"{ids.shape} entity ids need a ({len(ids)}, {self.dim}) matrix, got {matrix.shape}"
             )
-        self.dim = dim
-        self.edge_tables = edge_tables
-        self.entity_embeddings = entity_embeddings
-        self.relation_embeddings = relation_embeddings
-        self._sealed = False
-        self._ent_ids: np.ndarray = _EMPTY_U64
-        self._ent_matrix: np.ndarray = np.empty((0, dim), dtype=np.float64)
+        row = _first_repeat(ids)
+        if row is not None:
+            raise DuplicateIdError(f"duplicate entity id {ids[row]}")
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        self._ent_ids = _frozen(ids)
+        self._ent_matrix = _frozen(matrix[order])
+        self._rows = dict(zip(ids.tolist(), range(len(ids))))
+
+        heads, rels, tails = (np.asarray(a, dtype=np.uint64) for a in (heads, rels, tails))
+        if not (heads.ndim == rels.ndim == tails.ndim == 1 and len(heads) == len(rels) == len(tails)):
+            raise ArgumentError("heads, rels and tails must be 1-D arrays of one length")
+        num_relations = len(rel_emb)
+        if len(rels) and int(rels.max()) >= num_relations:
+            raise RelationRangeError(
+                f"relation {int(rels.max())} out of range [0, {num_relations})"
+            )
+        by_rel = np.argsort(rels, kind="stable")
+        bounds = np.searchsorted(rels[by_rel], np.arange(num_relations + 1)).tolist()
+        self.edge_tables = [
+            EdgeTable(r, heads[by_rel[lo:hi]], tails[by_rel[lo:hi]])
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
     @property
     def num_relations(self) -> int:
         return len(self.edge_tables)
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def require_sealed(self) -> None:
-        if not self._sealed:
-            raise SealError("operation requires a sealed store")
-
-    def seal(self) -> None:
-        """Freeze the store: no further inserts, lock-free reads, dense gather index."""
-        if self._sealed:
-            return
-        for table in self.edge_tables:
-            table.seal()
-        self.entity_embeddings.seal()
-        ids = sorted(self.entity_embeddings.keys())
-        matrix = np.empty((len(ids), self.dim), dtype=np.float64)
-        for row, eid in enumerate(ids):
-            vec = self.entity_embeddings.get(eid)
-            if vec.shape != (self.dim,):
-                raise DimensionError(f"entity {eid}: embedding length {vec.shape} != dim {self.dim}")
-            matrix[row] = vec
-        self._ent_ids = np.array(ids, dtype=np.uint64)
-        self._ent_matrix = matrix
-        self._sealed = True
-
     def entity_embedding(self, entity_id: int) -> np.ndarray | None:
-        return self.entity_embeddings.get(entity_id)
+        """Read-only embedding row of entity_id, or None if it has none."""
+        row = self._rows.get(entity_id)
+        return None if row is None else self._ent_matrix[row]
 
     def relation_embedding(self, relation_id: int) -> np.ndarray:
         if not (0 <= relation_id < self.num_relations):
@@ -397,10 +334,9 @@ class KGStore:
     def gather_entity_embeddings(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized embedding fetch for sorted-or-not uint64 ids.
 
-        Returns (emb_t, found): emb_t is a C-contiguous (dim, n) transposed
-        block (missing ids get a zero row, masked out by found).
+        Returns (emb_t, found): emb_t is a fresh C-contiguous (dim, n)
+        transposed block (missing ids get a zero row, masked out by found).
         """
-        self.require_sealed()
         ids = np.asarray(ids, dtype=np.uint64)
         n = len(ids)
         if self._ent_ids.size == 0 or n == 0:
@@ -420,9 +356,8 @@ class KGStore:
         edges_path: str | Path,
         entities_path: str | Path,
         relations_path: str | Path,
-        workers: int = 1,
     ) -> "KGStore":
-        """Load and seal a store from the three text files.
+        """Load a store from the three text files.
 
         dim and num_relations are inferred from the relation-embedding
         file (line count and component count of the first line).
@@ -438,9 +373,7 @@ class KGStore:
         num_relations = len(content)
         relation_embeddings = load_relation_embeddings(rel_lines, dim, num_relations)
         with open(entities_path, encoding="utf-8") as fh:
-            entity_embeddings = load_entity_embeddings(fh, dim, workers=workers)
+            ids, matrix = load_entity_embeddings(fh, dim)
         with open(edges_path, encoding="utf-8") as fh:
-            edge_tables = ingest_edges(fh, num_relations, workers=workers)
-        store = cls(dim, edge_tables, entity_embeddings, relation_embeddings)
-        store.seal()
-        return store
+            heads, rels, tails = ingest_edges(fh, num_relations)
+        return cls(ids, matrix, relation_embeddings, heads, rels, tails)

@@ -16,7 +16,7 @@ import time
 
 from .errors import ArgumentError, QueryError
 from .kgstore import KGStore
-from .generic import Path, ScoredPath, total_frontier_capacity
+from .generic import Path, ScoredPath, require_entity_ids, total_frontier_capacity
 from .pipeline import (
     STAGE_HOP1,
     STAGE_HOP2,
@@ -64,7 +64,6 @@ def oracle_three_hop(
     store: KGStore, q: ThreeHopQuery, timings: dict | None = None
 ) -> AffiliationResult:
     """Sequential restatement of the three-hop query semantics."""
-    store.require_sealed()
     for rid, name in ((q.rel1, "rel1"), (q.rel2, "rel2"), (q.rel3, "rel3")):
         if not (0 <= rid < store.num_relations):
             raise QueryError(f"{name}={rid} is not a relation of this store")
@@ -126,10 +125,10 @@ def oracle_beam_paths(
     per parent under (score desc, relation asc, tail asc). Completed
     paths collect in a plain list, sorted and truncated only at the end.
     """
-    store.require_sealed()
     if num_hops < 1:
         raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
     total_frontier_capacity(k, num_hops)
+    require_entity_ids(source, target)
     if source == target:
         return []
     src = store.entity_embedding(source)

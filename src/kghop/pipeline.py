@@ -178,9 +178,7 @@ def rescore_with_relation(
     _require_relation(store, rel, "rel")
     emb = _require_anchor(store, anchor, "anchor")
     composite = embedding_aggregation(emb, store.relation_embedding(rel))
-    candidates = EntitySet(
-        ids=np.array([p.entity for p in persons], dtype=np.uint64), role="person"
-    )
+    candidates = EntitySet(ids=np.array([p.entity for p in persons], dtype=np.uint64))
     if mode == "optimized":
         return score_candidates_topk(
             composite, candidates, store, k, workers, gamma, merge, stats
@@ -203,7 +201,6 @@ def three_hop_query(
     STAGE_HOP1/STAGE_HOP2/STAGE_HOP3, and `stats` receives
     hop{1,2,3}_evals score-evaluation counts.
     """
-    store.require_sealed()
     if mode not in MODES:
         raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     if workers < 1:
@@ -214,7 +211,7 @@ def three_hop_query(
     _require_anchor(store, q.anchor2, "anchor2")
     config = ScoringConfig(gamma=q.gamma, dim=store.dim)
 
-    persons = extract_entities(store.edge_table(q.rel1), "tail", role="person")
+    persons = extract_entities(store.edge_table(q.rel1), "tail")
     comp1 = embedding_aggregation(emb1, store.relation_embedding(q.rel1))
 
     def staged(key):
@@ -242,7 +239,7 @@ def three_hop_query(
     if stats is not None:
         stats["hop2_evals"] = hop_stats.pop("score_evals", 0)
 
-    universities = extract_entities(store.edge_table(q.rel3), "tail", role="university")
+    universities = extract_entities(store.edge_table(q.rel3), "tail")
     rel3_emb = store.relation_embedding(q.rel3)
 
     done = staged(STAGE_HOP3)

@@ -145,7 +145,6 @@ def score_candidates_topk(
     therefore surface only when fewer than k finite-scored candidates
     exist. The result is identical for any worker count.
     """
-    store.require_sealed()
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if merge not in ("tree", "locked"):
@@ -309,7 +308,6 @@ def score_candidates_topk_many(
     first, identical for any worker count and to the single-composite
     path.
     """
-    store.require_sealed()
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if merge not in ("tree", "locked"):

@@ -11,22 +11,19 @@ from functools import reduce
 
 import numpy as np
 
-from kghop.kgstore import EdgeTable, KGStore, StripedMap
+from kghop.kgstore import KGStore
 from kghop.topk import ScoredEntity, TopKSelector, selector_merge
 
 
 def make_store(dim, num_relations, triples, entity_embs, rel_embs) -> KGStore:
-    """Sealed store from explicit triples and embedding dicts/lists."""
-    tables = [EdgeTable(r) for r in range(num_relations)]
-    for h, r, t in triples:
-        tables[r].insert(h, t)
-    emb_map = StripedMap()
-    for eid, vec in entity_embs.items():
-        emb_map.insert(eid, np.asarray(vec, dtype=np.float64))
+    """Store from explicit triples and embedding dicts/lists."""
+    edges = np.array(triples, dtype=np.uint64).reshape(len(triples), 3)
+    ids = np.array(list(entity_embs), dtype=np.uint64)
+    matrix = np.array(
+        [np.asarray(vec, dtype=np.float64) for vec in entity_embs.values()], dtype=np.float64
+    ).reshape(len(ids), dim)
     rel_arr = np.asarray(rel_embs, dtype=np.float64).reshape(num_relations, dim)
-    store = KGStore(dim, tables, emb_map, rel_arr)
-    store.seal()
-    return store
+    return KGStore(ids, matrix, rel_arr, edges[:, 0], edges[:, 1], edges[:, 2])
 
 
 def random_graph_store(rng, n_nodes=50, n_rels=2, n_edges=120, dim=4):

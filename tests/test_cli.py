@@ -138,6 +138,15 @@ class TestPathq:
         _, oracle, _ = run_cli(capsys, base + ["--mode", "oracle"])
         assert engine == oracle
 
+    def test_out_of_range_target_fails_cleanly(self, chain_dir, capsys):
+        rc, out, err = run_cli(capsys, [
+            "pathq", "--data", str(chain_dir), "--source", "0", "--target", "-1",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("kghop: error:")
+        assert "Traceback" not in err
+
     def test_simple_mode_rejected(self, chain_dir, capsys):
         rc, _, err = run_cli(capsys, [
             "pathq", "--data", str(chain_dir), "--source", "0", "--target", "3",

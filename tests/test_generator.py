@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kghop.errors import ArgumentError
+from kghop.errors import ArgumentError, DuplicateIdError, ParseError
 from kghop.generator import (
     DATASET_FILES,
     GeneratorSpec,
@@ -118,7 +118,7 @@ class TestRoundTrip:
     def test_files_load_back_to_identical_store(self, tmp_path):
         ds = generate(small_spec())
         ds.write(tmp_path)
-        loaded, labels = load_dataset_dir(tmp_path, workers=2)
+        loaded, labels = load_dataset_dir(tmp_path)
         direct = ds.build_store()
 
         assert loaded.dim == direct.dim
@@ -146,6 +146,20 @@ class TestRoundTrip:
         paths = ds.write(tmp_path)
         labels = load_labels(paths["labels"])
         assert labels == {"TURING_AWARD": 0, "DEEP_LEARNING": 1}
+
+    def test_duplicate_label_rejected(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("A\t1\nA\t2\n", encoding="utf-8")
+        with pytest.raises(DuplicateIdError, match="line 2: duplicate label 'A'"):
+            load_labels(path)
+
+    @pytest.mark.parametrize("bad", ["+1", " 1", "1_0", "٣", "-1", str(2**64)])
+    def test_label_ids_use_the_strict_grammar(self, tmp_path, bad):
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"A\t1\nB\t{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_labels(path)
+        assert info.value.line_no == 2
 
     def test_plants_file_lists_planted_ids(self, tmp_path):
         ds = generate(small_spec())

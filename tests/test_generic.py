@@ -166,6 +166,15 @@ class TestGenericSearch:
         with pytest.raises(QueryError):
             multihop_reasoning_generic(store, 5, 0, 2, 3)
 
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_out_of_range_ids_are_query_errors(self, bad):
+        store = make_store(2, 1, [(0, 0, 1)], {0: [0.0, 0.0], 1: [0.0, 0.0]}, [[0.0, 0.0]])
+        for source, target in ((0, bad), (bad, 1), (bad, bad)):
+            with pytest.raises(QueryError):
+                multihop_reasoning_generic(store, source, target, 2, 3)
+            with pytest.raises(QueryError):
+                oracle_beam_paths(store, source, target, 2, 3)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_engine_equals_beam_oracle(self, seed):
         rng = np.random.default_rng(200 + seed)

@@ -1,9 +1,12 @@
-"""Store construction, loaders, and the concurrent-map contract."""
+"""Store construction, loaders, the strict input grammar, and immutability."""
 
-import threading
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kghop.errors import (
     ArgumentError,
@@ -11,46 +14,60 @@ from kghop.errors import (
     DimensionError,
     DuplicateIdError,
     EmbeddingValueError,
+    KghopError,
     ParseError,
     RelationRangeError,
-    SealError,
 )
+from kghop.generator import GeneratorSpec, generate, load_labels
 from kghop.kgstore import (
-    EdgeTable,
+    U64_MAX,
     EntitySet,
     KGStore,
-    StripedMap,
     extract_entities,
     ingest_edges,
     load_entity_embeddings,
     load_relation_embeddings,
 )
+from kghop.oracle import oracle_three_hop
+from kghop.pipeline import ThreeHopQuery, three_hop_query
 
 from helpers import make_store
 
 
-def seal_all(tables):
-    for t in tables:
-        t.seal()
-    return tables
+def edge_tables(lines, num_relations):
+    """Edge tables of a store built from edge lines alone (no entities)."""
+    heads, rels, tails = ingest_edges(lines, num_relations)
+    store = KGStore([], np.empty((0, 1)), np.zeros((num_relations, 1)), heads, rels, tails)
+    return store.edge_tables
 
 
 def table_dict(table):
     return {h: tails.tolist() for h, tails in table.items()}
 
 
+def random_edge_lines(rng, n, num_nodes, num_relations):
+    return [
+        f"{h}\t{r}\t{t}"
+        for h, r, t in zip(
+            rng.integers(0, num_nodes, n),
+            rng.integers(0, num_relations, n),
+            rng.integers(0, num_nodes, n),
+        )
+    ]
+
+
 class TestIngestEdges:
     def test_two_triples_one_relation(self):
-        tables = seal_all(ingest_edges(["0\t1\t2", "3\t1\t4"], num_relations=2))
+        tables = edge_tables(["0\t1\t2", "3\t1\t4"], num_relations=2)
         assert table_dict(tables[0]) == {}
         assert table_dict(tables[1]) == {0: [2], 3: [4]}
 
     def test_empty_stream(self):
-        tables = seal_all(ingest_edges([], num_relations=3))
+        tables = edge_tables([], num_relations=3)
         assert all(table_dict(t) == {} for t in tables)
 
     def test_trailing_blank_line_tolerated(self):
-        tables = seal_all(ingest_edges(["0\t0\t1\n", "\n"], num_relations=1))
+        tables = edge_tables(["0\t0\t1\n", "\n"], num_relations=1)
         assert table_dict(tables[0]) == {0: [1]}
 
     def test_malformed_line_reports_line_number(self):
@@ -66,71 +83,63 @@ class TestIngestEdges:
             ingest_edges(["0\t5\t1"], num_relations=2)
 
     def test_duplicate_triples_kept(self):
-        tables = seal_all(ingest_edges(["0\t0\t1", "0\t0\t1"], num_relations=1))
+        tables = edge_tables(["0\t0\t1", "0\t0\t1"], num_relations=1)
         assert table_dict(tables[0]) == {0: [1, 1]}
 
-    def test_parallel_ingestion_matches_sequential(self):
+    def test_tails_canonical_whatever_the_line_order(self):
         rng = np.random.default_rng(42)
-        lines = [
-            f"{h}\t{r}\t{t}"
-            for h, r, t in zip(
-                rng.integers(0, 400, 10_000),
-                rng.integers(0, 5, 10_000),
-                rng.integers(0, 400, 10_000),
-            )
-        ]
-        sequential = seal_all(ingest_edges(lines, num_relations=5, workers=1))
-        parallel = seal_all(ingest_edges(lines, num_relations=5, workers=8))
-        for seq, par in zip(sequential, parallel):
-            assert table_dict(seq) == table_dict(par)
+        lines = random_edge_lines(rng, 10_000, 400, 5)
+        shuffled = list(lines)
+        rng.shuffle(shuffled)
+        for a, b in zip(edge_tables(lines, 5), edge_tables(shuffled, 5)):
+            assert table_dict(a) == table_dict(b)
+            assert list(a.heads()) == sorted(a.heads())
+            for _, tails in a.items():
+                assert tails.tolist() == sorted(tails.tolist())
 
     def test_conservation_of_edge_count(self):
-        rng = np.random.default_rng(1)
-        n = 5000
-        lines = [
-            f"{h}\t{r}\t{t}"
-            for h, r, t in zip(
-                rng.integers(0, 100, n), rng.integers(0, 4, n), rng.integers(0, 100, n)
-            )
-        ]
-        tables = seal_all(ingest_edges(lines, num_relations=4, workers=4))
-        assert sum(t.num_edges for t in tables) == n
+        lines = random_edge_lines(np.random.default_rng(1), 5000, 100, 4)
+        tables = edge_tables(lines, num_relations=4)
+        assert sum(t.num_edges for t in tables) == 5000
 
 
 class TestEntityEmbeddings:
     def test_single_line(self):
-        table = load_entity_embeddings(["7\t0.5 0.5"], dim=2)
-        table.seal()
-        assert table.get(7).tolist() == [0.5, 0.5]
+        ids, matrix = load_entity_embeddings(["7\t0.5 0.5"], dim=2)
+        assert ids.tolist() == [7]
+        assert matrix.tolist() == [[0.5, 0.5]]
 
     def test_wrong_component_count(self):
         with pytest.raises(DimensionError, match="line 1"):
             load_entity_embeddings(["7\t0.5 0.5 0.5"], dim=2)
 
     def test_non_finite_component(self):
-        with pytest.raises(EmbeddingValueError):
-            load_entity_embeddings(["7\tnan 0.5"], dim=2)
+        with pytest.raises(EmbeddingValueError, match="line 2"):
+            load_entity_embeddings(["6\t1 2", "7\tnan 0.5"], dim=2)
 
     def test_duplicate_id(self):
-        with pytest.raises(DuplicateIdError, match="duplicate entity id 7"):
-            load_entity_embeddings(["7\t0.5 0.5", "7\t0.1 0.1"], dim=2)
+        with pytest.raises(DuplicateIdError, match="line 3: duplicate entity id 7"):
+            load_entity_embeddings(["7\t0.5 0.5", "5\t0 0", "7\t0.1 0.1", "5\t1 1"], dim=2)
 
-    def test_parallel_load_matches_sequential(self):
+    def test_round_trip_is_byte_exact(self):
         rng = np.random.default_rng(2)
+        vectors = rng.normal(0, 1, (1000, 4))
+        ids = rng.permutation(1000)
         lines = [
-            f"{i}\t{' '.join(repr(v) for v in rng.normal(0, 1, 4).tolist())}"
-            for i in range(1000)
+            f"{eid}\t{' '.join(repr(v) for v in vectors[eid].tolist())}" for eid in ids.tolist()
         ]
-        seq = load_entity_embeddings(lines, dim=4, workers=1)
-        par = load_entity_embeddings(lines, dim=4, workers=8)
-        assert len(seq) == len(par) == 1000
-        for key, vec in seq.items():
-            assert np.array_equal(vec, par.get(key))
+        got_ids, matrix = load_entity_embeddings(lines, dim=4)
+        assert got_ids.tolist() == ids.tolist()
+        assert matrix.tobytes() == vectors[ids].tobytes()
+        store = KGStore(got_ids, matrix, np.zeros((0, 4)), [], [], [])
+        for eid in range(1000):
+            assert store.entity_embedding(eid).tobytes() == vectors[eid].tobytes()
 
     def test_sparse_64_bit_ids(self):
         big = 2**63 + 11
-        table = load_entity_embeddings([f"{big}\t1.0 2.0"], dim=2)
-        assert table.get(big).tolist() == [1.0, 2.0]
+        ids, matrix = load_entity_embeddings([f"{big}\t1.0 2.0"], dim=2)
+        assert ids.tolist() == [big]
+        assert matrix.tolist() == [[1.0, 2.0]]
 
 
 class TestRelationEmbeddings:
@@ -165,11 +174,11 @@ class TestRelationEmbeddings:
 
 class TestExtractEntities:
     def test_tail_dedup(self):
-        tables = seal_all(ingest_edges(["0\t0\t2", "3\t0\t2"], num_relations=1))
+        tables = edge_tables(["0\t0\t2", "3\t0\t2"], num_relations=1)
         assert extract_entities(tables[0], "tail").tolist() == [2]
 
     def test_head_side(self):
-        tables = seal_all(ingest_edges(["0\t0\t2", "3\t0\t4"], num_relations=1))
+        tables = edge_tables(["0\t0\t2", "3\t0\t4"], num_relations=1)
         assert extract_entities(tables[0], "head").tolist() == [0, 3]
 
     def test_matches_raw_triple_scan(self):
@@ -182,68 +191,59 @@ class TestExtractEntities:
             )
         )
         lines = [f"{h}\t{r}\t{t}" for h, r, t in triples]
-        tables = seal_all(ingest_edges(lines, num_relations=1, workers=4))
+        tables = edge_tables(lines, num_relations=1)
         assert extract_entities(tables[0], "head").tolist() == sorted({h for h, _, _ in triples})
         assert extract_entities(tables[0], "tail").tolist() == sorted({t for _, _, t in triples})
 
-    def test_requires_sealed_table(self):
-        table = EdgeTable(0)
-        table.insert(0, 1)
-        with pytest.raises(SealError):
-            extract_entities(table, "head")
+    def test_returns_the_cached_set(self):
+        tables = edge_tables(["0\t0\t2", "3\t0\t4"], num_relations=1)
+        tails = extract_entities(tables[0], "tail")
+        assert extract_entities(tables[0], "tail") is tails
+        assert not tails.ids.flags.writeable
 
     def test_invalid_side(self):
-        tables = seal_all(ingest_edges([], num_relations=1))
+        tables = edge_tables([], num_relations=1)
         with pytest.raises(ArgumentError):
             extract_entities(tables[0], "both")
 
     def test_entity_set_normalizes(self):
-        es = EntitySet(ids=np.array([5, 1, 5, 3], dtype=np.uint64), role="x")
+        es = EntitySet(ids=np.array([5, 1, 5, 3], dtype=np.uint64))
         assert es.tolist() == [1, 3, 5]
         assert len(es) == 3
 
 
-class TestStripedMap:
-    def test_read_your_write_after_seal(self):
-        m = StripedMap()
-        m.insert(5, "e")
-        m.seal()
-        assert m.get(5) == "e"
+class TestEntityIndex:
+    def test_lookup_returns_the_given_row(self):
+        store = make_store(2, 1, [], {9: [1.0, 2.0], 5: [3.0, 4.0]}, [[0.0, 0.0]])
+        assert store.entity_embedding(5).tolist() == [3.0, 4.0]
+        assert store.entity_embedding(9).tolist() == [1.0, 2.0]
 
-    def test_absent_key_returns_none(self):
-        m = StripedMap()
-        m.seal()
-        assert m.get(12345) is None
+    def test_absent_id_returns_none(self):
+        store = make_store(2, 1, [], {5: [0.0, 0.0]}, [[0.0, 0.0]])
+        for eid in (12345, -1, 2**64, -(2**70), 2**80):
+            assert store.entity_embedding(eid) is None
 
-    def test_insert_after_seal_rejected(self):
-        m = StripedMap()
-        m.seal()
-        with pytest.raises(SealError):
-            m.insert(1, "x")
+    def test_write_after_build_rejected(self):
+        store = make_store(2, 1, [(5, 0, 5)], {5: [0.0, 0.0]}, [[0.0, 0.0]])
+        store.seal()
+        with pytest.raises(ValueError):
+            store.entity_embedding(5)[0] = 1.0
+        assert store.entity_embedding(5).tolist() == [0.0, 0.0]
 
-    def test_duplicate_insert_rejected(self):
-        m = StripedMap()
-        m.insert(1, "a")
-        with pytest.raises(DuplicateIdError):
-            m.insert(1, "b")
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(DuplicateIdError, match="duplicate entity id 1"):
+            KGStore([1, 2, 1], np.zeros((3, 2)), np.zeros((1, 2)), [], [], [])
 
-    def test_hundred_thousand_inserts_from_sixteen_workers(self):
-        m = StripedMap()
-        per_worker = 100_000 // 16
-
-        def work(wid):
-            base = wid * per_worker
-            for i in range(per_worker):
-                m.insert(base + i, wid)
-
-        threads = [threading.Thread(target=work, args=(wid,)) for wid in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        m.seal()
-        assert len(m) == per_worker * 16
-        assert sorted(m.keys()) == list(range(per_worker * 16))
+    def test_hundred_thousand_ids_all_indexed(self):
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(100_000).astype(np.uint64) * np.uint64(7)
+        matrix = rng.normal(0, 1, (100_000, 2))
+        store = KGStore(ids, matrix, np.zeros((0, 2)), [], [], [])
+        for row in rng.integers(0, 100_000, 2_000).tolist():
+            assert store.entity_embedding(int(ids[row])).tobytes() == matrix[row].tobytes()
+        emb_t, found = store.gather_entity_embeddings(ids)
+        assert found.all()
+        assert emb_t.T.tobytes() == matrix.tobytes()
 
 
 class TestKGStore:
@@ -270,6 +270,14 @@ class TestKGStore:
         with pytest.raises(RelationRangeError):
             store.edge_table(-1)
 
+    def test_edge_relation_out_of_range_rejected(self):
+        with pytest.raises(RelationRangeError):
+            KGStore([], np.empty((0, 2)), np.zeros((1, 2)), [0], [1], [0])
+
+    def test_entity_matrix_shape_checked(self):
+        with pytest.raises(DimensionError):
+            KGStore([0, 1], np.zeros((2, 3)), np.zeros((1, 2)), [], [], [])
+
     def test_tails_of_absent_head_empty(self):
         store = make_store(2, 1, [(0, 0, 1)], {0: [0.0, 0.0]}, [[0.0, 0.0]])
         assert store.edge_table(0).tails(777).tolist() == []
@@ -281,10 +289,158 @@ class TestKGStore:
         edges.write_text("0\t0\t1\n1\t1\t2\n", encoding="utf-8")
         ents.write_text("0\t1.0 0.0\n1\t0.0 1.0\n2\t0.5 0.5\n", encoding="utf-8")
         rels.write_text("0\t0.1 0.2\n1\t0.3 0.4\n", encoding="utf-8")
-        store = KGStore.from_files(edges, ents, rels, workers=2)
+        store = KGStore.from_files(edges, ents, rels)
         assert store.dim == 2
         assert store.num_relations == 2
-        assert store.sealed
         assert store.edge_table(0).tails(0).tolist() == [1]
         assert store.entity_embedding(2).tolist() == [0.5, 0.5]
         assert store.relation_embedding(1).tolist() == [0.3, 0.4]
+
+
+class TestImmutability:
+    def test_caller_edits_never_reach_the_store(self):
+        spec = GeneratorSpec(num_entities=60, num_persons=20, num_universities=20,
+                             num_edges=80, seed=3, noise=0.01, plants=5)
+        ds = generate(spec)
+        store = ds.build_store()
+        q = ThreeHopQuery(ds.award_anchor, 0, ds.field_anchor, 1, 2, k=5)
+        before = oracle_three_hop(store, q)
+
+        ds.entity_embeddings[ds.plant_ids] += 5.0
+        ds.relation_embeddings += 1.0
+        ds.tails[:] = 0
+        optimized = three_hop_query(store, q, mode="optimized")
+        assert optimized == three_hop_query(store, q, mode="simple")
+        assert optimized == oracle_three_hop(store, q) == before
+
+        table = store.edge_table(2)
+        head = next(table.heads())
+        writes = [
+            lambda: store.entity_embedding(int(ds.plant_ids[0])).__setitem__(0, 0.0),
+            lambda: store.relation_embeddings.__setitem__((0, 0), 0.0),
+            lambda: store.relation_embedding(0).__setitem__(0, 0.0),
+            lambda: table.tails(head).__setitem__(0, 0),
+            lambda: extract_entities(table, "tail").ids.__setitem__(0, 0),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError):
+                write()
+
+
+def first_line_error(loader, lines):
+    with pytest.raises(ParseError) as info:
+        loader(lines)
+    assert info.value.line_no == 2
+    return info.value
+
+
+EDGE_LOADER = lambda lines: ingest_edges(lines, num_relations=2)  # noqa: E731
+ENTITY_LOADER = lambda lines: load_entity_embeddings(lines, dim=2)  # noqa: E731
+RELATION_LOADER = lambda lines: load_relation_embeddings(lines, dim=2, num_relations=2)  # noqa: E731
+BAD_IDS = ["1_0", "+7", " 5", "5 ", "٣", "５", "-1", "", "0x1", "1e3", str(2**64),
+           "9" * 5000]
+
+
+class TestStrictGrammar:
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_edge_ids_are_ascii_digits(self, bad, field):
+        parts = ["0", "1", "0"]
+        parts[field] = bad
+        first_line_error(EDGE_LOADER, ["0\t0\t1", "\t".join(parts)])
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_embedding_ids_are_ascii_digits(self, bad):
+        first_line_error(ENTITY_LOADER, ["0\t1 2", f"{bad}\t1 2"])
+        first_line_error(RELATION_LOADER, ["0\t1 2", f"{bad}\t1 2"])
+
+    @pytest.mark.parametrize("bad", ["1_0", "1.5_0", "١", "１.0", "1.0²", "0x1p3", "1,5"])
+    def test_float_components_are_ascii_without_underscores(self, bad):
+        first_line_error(ENTITY_LOADER, ["0\t1 2", f"1\t{bad} 2"])
+        first_line_error(RELATION_LOADER, ["0\t1 2", f"1\t2 {bad}"])
+
+    def test_id_range_ends_at_u64_max(self):
+        ids, _ = load_entity_embeddings([f"{U64_MAX}\t1 2", "007\t1 2"], dim=2)
+        assert ids.tolist() == [U64_MAX, 7]
+        heads, _, _ = ingest_edges([f"{U64_MAX}\t0\t0"], num_relations=1)
+        assert heads.tolist() == [U64_MAX]
+        err = first_line_error(EDGE_LOADER, ["0\t0\t0", f"0\t0\t{U64_MAX + 1}"])
+        assert "outside unsigned 64-bit range" in str(err)
+
+
+def load_labels_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.tsv"
+        path.write_text(text, encoding="utf-8")
+        return load_labels(path)
+
+
+def assert_valid_or_kghop_error(load, check):
+    try:
+        result = load()
+    except ParseError as exc:
+        assert isinstance(exc.line_no, int) and exc.line_no >= 1
+        return
+    except KghopError:
+        return
+    check(result)
+
+
+def check_edges(result):
+    heads, rels, tails = result
+    assert len(heads) == len(rels) == len(tails)
+    assert all(r < 2 for r in rels.tolist())
+
+
+def check_entities(result):
+    ids, matrix = result
+    assert matrix.shape == (len(ids), 2)
+    assert np.isfinite(matrix).all()
+    assert len(set(ids.tolist())) == len(ids)
+
+
+def check_relations(result):
+    assert result.shape == (2, 2)
+    assert np.isfinite(result).all()
+
+
+def check_labels(result):
+    assert all(isinstance(v, int) and 0 <= v <= U64_MAX for v in result.values())
+
+
+GRAMMAR_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789\t\n .e-+_naif٣"),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-1, 2), st.integers(0, 2**65),
+                  st.floats(), st.floats()),
+        max_size=6,
+    ).map(lambda rows: "\n".join(f"{a}\t{r}\t{b}" if b % 2 else f"{a}\t{x!r} {y!r}"
+                                 for a, r, b, x, y in rows)),
+)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(GRAMMAR_TEXT)
+    def test_ingest_edges(self, text):
+        assert_valid_or_kghop_error(
+            lambda: ingest_edges(text.splitlines(keepends=True), 2), check_edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(GRAMMAR_TEXT)
+    def test_load_entity_embeddings(self, text):
+        assert_valid_or_kghop_error(
+            lambda: load_entity_embeddings(text.splitlines(keepends=True), 2), check_entities)
+
+    @settings(max_examples=150, deadline=None)
+    @given(GRAMMAR_TEXT)
+    def test_load_relation_embeddings(self, text):
+        assert_valid_or_kghop_error(
+            lambda: load_relation_embeddings(text.splitlines(keepends=True), 2, 2),
+            check_relations)
+
+    @settings(max_examples=100, deadline=None)
+    @given(GRAMMAR_TEXT)
+    def test_load_labels(self, text):
+        assert_valid_or_kghop_error(lambda: load_labels_text(text), check_labels)

@@ -280,16 +280,25 @@ class TestDegenerateStores:
             assert result.ranked_persons == []
             assert result.affiliations == {}
 
-    def test_unsealed_store_rejected(self):
-        from kghop.errors import SealError
-        from kghop.kgstore import EdgeTable, KGStore, StripedMap
+    def test_invalid_store_rejected_at_construction(self):
+        from kghop.errors import RelationRangeError
+        from kghop.kgstore import KGStore
 
         import numpy as np
 
-        store = KGStore(2, [EdgeTable(0)], StripedMap(), np.zeros((1, 2)))
-        q = ThreeHopQuery(anchor1=0, rel1=0, anchor2=0, rel2=0, rel3=0, k=1)
-        with pytest.raises(SealError):
-            three_hop_query(store, q)
+        with pytest.raises(RelationRangeError):
+            KGStore([0], np.zeros((1, 2)), np.zeros((1, 2)), [0], [1], [0])
+
+    @pytest.mark.parametrize("anchor", [-1, 2**64])
+    def test_out_of_range_anchor_is_query_error(self, anchor):
+        store, query = planted_instance()
+        for bad in (dict(anchor1=anchor), dict(anchor2=anchor)):
+            q = ThreeHopQuery(**{**query.__dict__, **bad})
+            for mode in ("optimized", "simple"):
+                with pytest.raises(QueryError):
+                    three_hop_query(store, q, mode=mode)
+            with pytest.raises(QueryError):
+                oracle_three_hop(store, q)
 
     def test_seal_is_idempotent(self):
         store, query = planted_instance()
