@@ -34,7 +34,6 @@ from .pipeline import (
     three_hop_query,
 )
 from .scoring import (
-    ScoringConfig,
     embedding_aggregation,
     score_candidates_topk,
     transe_score,

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .bench import BenchSpec, run_bench
-from .errors import KghopError, QueryError
+from .errors import KghopError, ParseError, QueryError
 from .generator import (
     AWARD_ANCHOR_LABEL,
     FIELD_ANCHOR_LABEL,
@@ -25,6 +25,7 @@ from .generator import (
     load_dataset_dir,
 )
 from .generic import multihop_reasoning_generic
+from .kgstore import parse_uint
 from .oracle import oracle_beam_paths, oracle_three_hop
 from .pipeline import ThreeHopQuery, three_hop_query
 
@@ -106,10 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_entity(value: str, labels: dict[str, int], what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        pass
+    """An id under the loaders' grammar (ASCII digits only), else a label."""
+    if value.isascii() and value.isdigit():
+        try:
+            return parse_uint(value, 1, what)
+        except ParseError:
+            raise QueryError(f"{what} {value} is not an unsigned 64-bit entity id") from None
     if value in labels:
         return labels[value]
     raise QueryError(f"unknown {what} {value!r}: not an id and not in the label map")

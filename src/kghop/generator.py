@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DuplicateIdError, ParseError
-from .kgstore import KGStore, parse_uint
+from .kgstore import TEXT, KGStore, parse_uint
 
 AWARD_ANCHOR_LABEL = "TURING_AWARD"
 FIELD_ANCHOR_LABEL = "DEEP_LEARNING"
@@ -197,10 +197,14 @@ def generate(spec: GeneratorSpec) -> SyntheticDataset:
 def load_labels(path: str | Path) -> dict[str, int]:
     """Parse a label<TAB>entity_id map file; a repeated label is an error."""
     labels: dict[str, int] = {}
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for i, raw in enumerate(Path(path).read_text(**TEXT).splitlines()):
         line = raw.strip()
         if not line:
             continue
+        try:
+            line.encode("utf-8")  # a label may be any text, so check it here
+        except UnicodeEncodeError:
+            raise ParseError(i + 1, "not valid UTF-8") from None
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(i + 1, f"expected label<TAB>id, got {line!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ArgumentError, CapacityError, QueryError
 from .kgstore import U64_MAX, KGStore
 from .parallel import WorkerGang, block_bounds
-from .scoring import _block_scores
+from .scoring import _score_block
 from .topk import TopKSelector
 
 _I64_MAX = 2**63 - 1
@@ -161,7 +161,7 @@ def expand_path(
         tails = tails[keep]
         extended = composite + store.relation_embeddings[rel]
         emb_t, found = store.gather_entity_embeddings(tails)
-        scores = _block_scores(emb_t, found, extended, gamma)
+        scores = _score_block(emb_t, found, extended, gamma)
         if not found.all():
             tails = tails[found]
             scores = scores[found]

@@ -40,6 +40,11 @@ from .errors import (
 )
 
 U64_MAX = 2**64 - 1
+# How dataset files are opened. An undecodable byte becomes a lone
+# surrogate instead of raising UnicodeDecodeError, so it reaches the line
+# grammar, which accepts only ASCII ids and floats and rejects it with a
+# ParseError naming the line.
+TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 _U64_DIGITS = len(str(U64_MAX))
 
 
@@ -362,7 +367,7 @@ class KGStore:
         dim and num_relations are inferred from the relation-embedding
         file (line count and component count of the first line).
         """
-        rel_lines = Path(relations_path).read_text(encoding="utf-8").splitlines()
+        rel_lines = Path(relations_path).read_text(**TEXT).splitlines()
         content = [ln for ln in rel_lines if ln.strip()]
         if not content:
             raise CompletenessError("relation embedding file is empty")
@@ -372,8 +377,8 @@ class KGStore:
         dim = len(first[1].split())
         num_relations = len(content)
         relation_embeddings = load_relation_embeddings(rel_lines, dim, num_relations)
-        with open(entities_path, encoding="utf-8") as fh:
+        with open(entities_path, **TEXT) as fh:
             ids, matrix = load_entity_embeddings(fh, dim)
-        with open(edges_path, encoding="utf-8") as fh:
+        with open(edges_path, **TEXT) as fh:
             heads, rels, tails = ingest_edges(fh, num_relations)
         return cls(ids, matrix, relation_embeddings, heads, rels, tails)

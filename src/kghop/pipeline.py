@@ -28,7 +28,6 @@ from .errors import ArgumentError, QueryError
 from .kgstore import EntitySet, KGStore, extract_entities
 from .parallel import WorkerGang, block_bounds
 from .scoring import (
-    ScoringConfig,
     embedding_aggregation,
     score_candidates_topk,
     score_candidates_topk_many,
@@ -209,7 +208,6 @@ def three_hop_query(
         _require_relation(store, rid, name)
     emb1 = _require_anchor(store, q.anchor1, "anchor1")
     _require_anchor(store, q.anchor2, "anchor2")
-    config = ScoringConfig(gamma=q.gamma, dim=store.dim)
 
     persons = extract_entities(store.edge_table(q.rel1), "tail")
     comp1 = embedding_aggregation(emb1, store.relation_embedding(q.rel1))
@@ -226,14 +224,14 @@ def three_hop_query(
     hop_stats: dict = {}
 
     done = staged(STAGE_HOP1)
-    hop1 = _scan(mode)(comp1, persons, store, q.k, workers, config.gamma, stats=hop_stats)
+    hop1 = _scan(mode)(comp1, persons, store, q.k, workers, q.gamma, stats=hop_stats)
     done()
     if stats is not None:
         stats["hop1_evals"] = hop_stats.pop("score_evals", 0)
 
     done = staged(STAGE_HOP2)
     hop2 = rescore_with_relation(
-        hop1, q.anchor2, q.rel2, store, q.k, workers, mode, merge, config.gamma, hop_stats
+        hop1, q.anchor2, q.rel2, store, q.k, workers, mode, merge, q.gamma, hop_stats
     )
     done()
     if stats is not None:
@@ -250,7 +248,7 @@ def three_hop_query(
             pe = store.entity_embedding(p.entity)
             composites.append(None if pe is None else embedding_aggregation(pe, rel3_emb))
         per_person = score_candidates_topk_many(
-            composites, universities, store, q.k, workers, config.gamma, merge, hop_stats
+            composites, universities, store, q.k, workers, q.gamma, merge, hop_stats
         )
         for p, unis in zip(hop2, per_person):
             affiliations[p.entity] = unis if unis is not None else []
@@ -262,7 +260,7 @@ def three_hop_query(
                 continue
             comp = embedding_aggregation(pe, rel3_emb)
             affiliations[p.entity] = _simple_topk_scan(
-                comp, universities, store, q.k, workers, config.gamma, hop_stats
+                comp, universities, store, q.k, workers, q.gamma, hop_stats
             )
     done()
     if stats is not None:

@@ -5,18 +5,20 @@ score descending, then entity id ascending, then path key ascending (for
 path items). The order is total, so the retained set is unique and the
 final contents never depend on offer order, worker count, or merge shape.
 
-Two reduction strategies combine per-worker selectors into one global
-selector: a tree reduction (pairwise merges in log-depth rounds separated
-by barriers) and a locked baseline where every worker merges into a single
-shared selector under one mutex. Both are collectives: every participating
-worker calls them with its own worker id.
+Two reduction strategies combine per-worker partial results into one
+global result: a tree reduction (pairwise merges in log-depth rounds
+separated by barriers) and a locked baseline where every worker merges
+into a single shared result under one mutex. Both are collectives: every
+participating worker calls them with its own worker id. Both take the
+merge as an argument: selector_merge for selectors, and the scoring
+module's row-ranking merge for its batched (ids, scores) rankings.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import insort
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ArgumentError
 from .parallel import WorkerGang
@@ -112,17 +114,21 @@ def reduce_topk_tree(
     num_workers: int,
     worker_id: int,
     barrier: threading.Barrier | None = None,
-) -> TopKSelector | None:
-    """Tree reduction of per-worker selectors. Collective call.
+    *,
+    combine: Callable,
+):
+    """Tree reduction of per-worker partial results. Collective call.
 
     Every worker 0..num_workers-1 must call this with the shared locals_
-    list and the shared barrier. Rounds double the stride; in each round
-    the lower-indexed worker of a pair merges its partner's selector into
-    its own slot, guarded by `worker_id + stride < num_workers` so odd
-    worker counts leave the unpaired slot untouched. All workers hit the
-    barrier every round, merging or not.
+    list, the shared barrier and the same `combine`, a merge of two
+    partial results into one (selector_merge for selectors). Rounds
+    double the stride; in each round the lower-indexed worker of a pair
+    merges its partner's result into its own slot, guarded by
+    `worker_id + stride < num_workers` so odd worker counts leave the
+    unpaired slot untouched. All workers hit the barrier every round,
+    merging or not.
 
-    Worker 0 returns the global selector (locals_[0] after the last
+    Worker 0 returns the global result (locals_[0] after the last
     round); other workers return None.
     """
     if worker_id >= num_workers or worker_id < 0:
@@ -132,32 +138,36 @@ def reduce_topk_tree(
     stride = 1
     while stride < num_workers:
         if worker_id % (2 * stride) == 0 and worker_id + stride < num_workers:
-            locals_[worker_id] = selector_merge(locals_[worker_id], locals_[worker_id + stride])
+            locals_[worker_id] = combine(locals_[worker_id], locals_[worker_id + stride])
         barrier.wait()
         stride *= 2
     return locals_[worker_id] if worker_id == 0 else None
 
 
 class LockedTopK:
-    """Shared selector guarded by one mutex: the merge baseline.
+    """One shared partial result guarded by one mutex: the merge baseline.
 
-    Each worker folds its whole local selector in under a single lock
-    acquisition, so the critical section is one merge, not one offer.
+    Each worker folds its whole local result in with `combine` under a
+    single lock acquisition, so the critical section is one merge, not
+    one offer. The first contribution is taken as is.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, combine: Callable):
         self._lock = threading.Lock()
-        self._selector = TopKSelector(k)
+        self._combine = combine
+        self._merged = None
 
-    def merge_from(self, local: TopKSelector) -> None:
+    def merge_from(self, local) -> None:
         with self._lock:
-            self._selector = selector_merge(self._selector, local)
+            if self._merged is None:
+                self._merged = local
+            else:
+                self._merged = self._combine(self._merged, local)
 
-    def take(self) -> TopKSelector:
-        """Hand out the merged selector and reset to empty."""
+    def take(self):
+        """Hand out the merged result and reset to empty."""
         with self._lock:
-            out = self._selector
-            self._selector = TopKSelector(out.capacity)
+            out, self._merged = self._merged, None
             return out
 
 
@@ -167,12 +177,12 @@ def locked_merge_reduce(
     worker_id: int,
     shared: LockedTopK,
     barrier: threading.Barrier | None = None,
-) -> TopKSelector | None:
+):
     """Locked-merge reduction. Collective call; same result contract as the tree.
 
-    Worker 0 returns the global selector; others None. A second barrier
+    Worker 0 returns the global result; others None. A second barrier
     after the take keeps workers from merging a subsequent round's
-    contribution into the shared selector before it has been drained.
+    contribution into the shared result before it has been drained.
     """
     if worker_id >= num_workers or worker_id < 0:
         raise ArgumentError(f"worker_id {worker_id} out of range for {num_workers} workers")
@@ -191,8 +201,8 @@ def reduce_selectors(selectors: list, strategy: str = "tree") -> TopKSelector:
     """Run a full reduction over the given selectors with real threads.
 
     Convenience driver: spawns len(selectors) workers, runs the chosen
-    collective, and returns the global selector. The input list is not
-    mutated (the tree works on a copy).
+    collective with selector_merge, and returns the global selector. The
+    input list is not mutated (the tree works on a copy).
     """
     num_workers = len(selectors)
     if num_workers == 0:
@@ -201,19 +211,18 @@ def reduce_selectors(selectors: list, strategy: str = "tree") -> TopKSelector:
         raise ArgumentError(f"unknown reduction strategy {strategy!r}")
     locals_ = list(selectors)
     gang = WorkerGang(num_workers)
+    shared = LockedTopK(selector_merge)
     out: list = [None]
-    if strategy == "tree":
-        def work(wid: int) -> None:
-            res = reduce_topk_tree(locals_, num_workers, wid, gang.barrier)
-            if wid == 0:
-                out[0] = res
-    else:
-        shared = LockedTopK(selectors[0].capacity)
 
-        def work(wid: int) -> None:
+    def work(wid: int) -> None:
+        if strategy == "tree":
+            res = reduce_topk_tree(
+                locals_, num_workers, wid, gang.barrier, combine=selector_merge
+            )
+        else:
             res = locked_merge_reduce(locals_, num_workers, wid, shared, gang.barrier)
-            if wid == 0:
-                out[0] = res
+        if wid == 0:
+            out[0] = res
 
     gang.run(work)
     return out[0]

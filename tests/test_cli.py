@@ -147,6 +147,16 @@ class TestPathq:
         assert err.startswith("kghop: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["+7", "+0", "\u0663", " 0 ", "1_0", str(2**64)])
+    def test_source_outside_the_id_grammar_fails_cleanly(self, chain_dir, capsys, value):
+        # not ASCII digits (or above 2**64 - 1) and not a label: no id is guessed
+        rc, out, err = run_cli(capsys, [
+            "pathq", "--data", str(chain_dir), "--source", value, "--target", "3",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("kghop: error:")
+
     def test_simple_mode_rejected(self, chain_dir, capsys):
         rc, _, err = run_cli(capsys, [
             "pathq", "--data", str(chain_dir), "--source", "0", "--target", "3",

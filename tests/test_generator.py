@@ -24,6 +24,15 @@ def small_spec(**kw):
     return GeneratorSpec(**defaults)
 
 
+# One appended line per dataset file, each with a byte sequence that is not UTF-8.
+NOT_UTF8_LINES = {
+    "edges": b"\xff\xfe\t0\t1\n",
+    "entities": b"399\t" + b"0.5 " * 7 + b"0.\xff\n",
+    "relations": b"\xff\t" + b"0 " * 7 + b"0\n",
+    "labels": b"caf\xe9\t5\n",
+}
+
+
 class TestSpecValidation:
     def test_entities_must_hold_schema(self):
         with pytest.raises(ArgumentError):
@@ -160,6 +169,16 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as info:
             load_labels(path)
         assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("name", ["edges", "entities", "relations", "labels"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, name):
+        paths = generate(small_spec()).write(tmp_path)
+        lines = paths[name].read_bytes().count(b"\n")
+        with open(paths[name], "ab") as fh:
+            fh.write(NOT_UTF8_LINES[name])
+        with pytest.raises(ParseError) as info:
+            load_dataset_dir(tmp_path)
+        assert info.value.line_no == lines + 1
 
     def test_plants_file_lists_planted_ids(self, tmp_path):
         ds = generate(small_spec())

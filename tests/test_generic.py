@@ -190,6 +190,27 @@ class TestGenericSearch:
         oracle = oracle_beam_paths(store, source, target, hops, k)
         assert engine == oracle
 
+    def test_engine_equals_beam_oracle_under_forced_ties(self):
+        # Embeddings on the grid {0, 0.5, 1} are sums of exact binary
+        # fractions, so many candidate and path scores tie exactly and the
+        # beam truncation and result order rest on the tie rules.
+        grid = np.array([0.0, 0.5, 1.0])
+        tied_seeds = 0
+        for seed in range(20):
+            rng = np.random.default_rng(500 + seed)
+            n, n_rels, dim = int(rng.integers(8, 20)), int(rng.integers(1, 4)), 3
+            triples = list(zip(*(rng.integers(0, hi, 6 * n).tolist() for hi in (n, n_rels, n))))
+            embs = {i: rng.choice(grid, dim) for i in range(n)}
+            store = make_store(dim, n_rels, triples, embs, rng.choice(grid, (n_rels, dim)))
+            hops, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            oracle = oracle_beam_paths(store, 0, n - 1, hops, k)
+            for workers in (1, 2, 3, 4):
+                got = multihop_reasoning_generic(store, 0, n - 1, hops, k, workers=workers)
+                assert got == oracle, f"seed {seed} workers {workers}"
+            scores = [score for _, score in ref_exhaustive_paths(store, 0, n - 1, hops)]
+            tied_seeds += len(set(scores)) < len(scores)
+        assert tied_seeds >= 15
+
     def test_worker_counts_agree(self):
         rng = np.random.default_rng(33)
         store = random_graph_store(rng, n_nodes=120, n_rels=2, n_edges=500, dim=4)

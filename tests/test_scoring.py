@@ -6,10 +6,8 @@ import pytest
 from kghop.errors import DimensionError
 from kghop.kgstore import EntitySet
 from kghop.scoring import (
-    _block_scores,
-    _block_topk,
     _matrix_topk,
-    _score_block_matrix,
+    _score_block,
     embedding_aggregation,
     score_candidates_topk,
     score_candidates_topk_many,
@@ -86,7 +84,15 @@ class TestTranseScore:
             assert d_ac <= d_ab + d_bc + 1e-9
 
 
+def one_row_topk(ids, scores, k):
+    """_matrix_topk of a single score row, as ScoredEntity items."""
+    ids_mat, scores_mat = _matrix_topk(ids, scores[None, :], k)
+    return [ScoredEntity(e, s) for e, s in zip(ids_mat[0].tolist(), scores_mat[0].tolist())]
+
+
 class TestBlockKernel:
+    """The one block kernel at a (dim,) composite, and the top-k extractor at one row."""
+
     @pytest.mark.parametrize("dim", [1, 3, 8, 17])
     def test_bit_identical_to_scalar_kernel(self, dim):
         rng = np.random.default_rng(dim)
@@ -95,32 +101,33 @@ class TestBlockKernel:
         comp = rng.normal(0, 1, dim)
         emb_t = np.ascontiguousarray(block.T)
         found = np.ones(n, dtype=bool)
-        batch = _block_scores(emb_t, found, comp, gamma=0.25)
+        batch = _score_block(emb_t, found, comp, gamma=0.25)
+        assert batch.shape == (n,)
         for i in range(n):
             assert batch[i] == transe_score(comp, block[i], gamma=0.25)
 
     def test_missing_rows_get_neg_inf(self):
         emb_t = np.zeros((2, 3))
         found = np.array([True, False, True])
-        scores = _block_scores(emb_t, found, np.zeros(2), gamma=1.0)
+        scores = _score_block(emb_t, found, np.zeros(2), gamma=1.0)
         assert scores.tolist() == [1.0, NEG_INF, 1.0]
+        matrix = _score_block(emb_t, found, np.zeros((2, 2)), gamma=1.0)
+        assert matrix.tolist() == [[1.0, NEG_INF, 1.0]] * 2
 
     def test_block_topk_matches_reference(self):
         rng = np.random.default_rng(7)
         ids = np.sort(rng.choice(10_000, size=500, replace=False)).astype(np.uint64)
         scores = rng.normal(0, 1, 500)
         scores[rng.choice(500, 30, replace=False)] = NEG_INF
-        sel = _block_topk(ids, scores, 20)
         expected = ref_topk(list(zip(ids.tolist(), scores.tolist())), 20)
-        assert sel.sorted_items() == expected
+        assert one_row_topk(ids, scores, 20) == expected
 
     def test_block_topk_breaks_boundary_ties_by_id(self):
         # five candidates tied exactly at the k-th score: the two
         # smallest ids of the tie must win the remaining slots
         ids = np.array([10, 20, 30, 40, 50, 60, 70], dtype=np.uint64)
         scores = np.array([9.0, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0])
-        sel = _block_topk(ids, scores, 3)
-        assert sel.sorted_items() == [
+        assert one_row_topk(ids, scores, 3) == [
             ScoredEntity(10, 9.0),
             ScoredEntity(20, 5.0),
             ScoredEntity(30, 5.0),
@@ -129,8 +136,7 @@ class TestBlockKernel:
     def test_block_topk_all_tied_at_neg_inf(self):
         ids = np.array([3, 5, 9], dtype=np.uint64)
         scores = np.array([NEG_INF] * 3)
-        sel = _block_topk(ids, scores, 2)
-        assert [it.entity for it in sel.sorted_items()] == [3, 5]
+        assert [it.entity for it in one_row_topk(ids, scores, 2)] == [3, 5]
 
 
 def scored_ids(result):
@@ -215,10 +221,21 @@ class TestMatrixBatchPath:
         comps = rng.normal(0, 1, (5, 8))
         emb_t = np.ascontiguousarray(block.T)
         found = np.ones(30, dtype=bool)
-        scores = _score_block_matrix(emb_t, found, comps, gamma=1.5)
+        scores = _score_block(emb_t, found, comps, gamma=1.5)
         for q in range(5):
             for i in range(30):
                 assert scores[q, i] == transe_score(comps[q], block[i], gamma=1.5)
+
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_one_composite_and_stacked_rows_give_the_same_bits(self, dim):
+        rng = np.random.default_rng(43 + dim)
+        emb_t = np.ascontiguousarray(rng.normal(0, 1, (dim, 40)))
+        found = rng.random(40) > 0.2
+        comps = rng.normal(0, 1, (4, dim))
+        matrix = _score_block(emb_t, found, comps, gamma=0.75)
+        for q in range(4):
+            row = _score_block(emb_t, found, comps[q], gamma=0.75)
+            assert row.tobytes() == matrix[q].tobytes()
 
     def test_matrix_topk_matches_per_row_reference(self):
         rng = np.random.default_rng(41)
@@ -242,20 +259,22 @@ class TestMatrixBatchPath:
         assert ids_mat[1].tolist() == [10, 20]
         assert scores_mat[1].tolist() == [5.0, 5.0]
 
-    def test_many_equals_single_composite_path(self):
+    def test_many_rows_equal_brute_force_reference(self):
         rng = np.random.default_rng(42)
-        embs = {i: rng.normal(0, 1, 4) for i in range(400)}
+        embs = {i: rng.normal(0, 1, 4) for i in range(400) if i % 37}
+        embs.update({i: np.round(rng.normal(0, 1, 4)) for i in range(0, 400, 5)})
         store = make_store(4, 1, [], embs, [[0.0] * 4])
         cands = EntitySet(ids=np.arange(400, dtype=np.uint64))
-        comps = [rng.normal(0, 1, 4) for _ in range(6)]
+        comps = [rng.normal(0, 1, 4) for _ in range(5)] + [np.zeros(4)]
+        expected = [ref_topk(ref_brute_force_scores(store, c, range(400)), 12) for c in comps]
         for workers in (1, 3, 8):
             for merge in ("tree", "locked"):
                 batched = score_candidates_topk_many(
                     comps, cands, store, 12, workers=workers, merge=merge
                 )
-                for comp, got in zip(comps, batched):
-                    single = score_candidates_topk(comp, cands, store, 12)
-                    assert got == single
+                assert [scored_ids(got) for got in batched] == [
+                    scored_ids(exp) for exp in expected
+                ]
 
     def test_many_with_none_composites(self):
         store = make_store(2, 1, [], {i: [float(i), 0.0] for i in range(5)}, [[0.0, 0.0]])

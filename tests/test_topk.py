@@ -160,7 +160,7 @@ def random_selectors(rng, count, k, items_each=12):
 class TestReductions:
     def test_tree_single_worker_is_identity(self):
         sel = fill(2, [(1, 5.0)])
-        got = reduce_topk_tree([sel], 1, 0)
+        got = reduce_topk_tree([sel], 1, 0, combine=selector_merge)
         assert got.sorted_items() == [ScoredEntity(1, 5.0)]
 
     def test_tree_three_workers_non_power_of_two(self):
@@ -175,7 +175,7 @@ class TestReductions:
 
     def test_worker_id_out_of_range(self):
         with pytest.raises(ArgumentError):
-            reduce_topk_tree([TopKSelector(2)], 1, 1)
+            reduce_topk_tree([TopKSelector(2)], 1, 1, combine=selector_merge)
 
     @pytest.mark.parametrize("num_workers", list(range(1, 18)))
     def test_all_strategies_equal_fold_oracle(self, num_workers):
