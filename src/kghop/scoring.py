@@ -3,21 +3,28 @@
 Scoring has one definition and two realizations that are bit-identical:
 
 * transe_score    scalar kernel, plain Python accumulation
-* _score_block    vectorized kernel over a (dim, n) embedding block, for
-                  one (dim,) composite or a (rows, dim) stack of them
+* _score_block    vectorized kernel: one (dim,) composite against a
+                  transposed (dim, n) embedding block
 
 Both accumulate the L1 sum in ascending index order, so a score never
 depends on which code path (or worker chunk) computed it. That makes
 results from the optimized engine, the locked baseline, and the
 sequential oracles exactly equal, not merely close.
+
+Many composites are streamed through the kernel one at a time, each
+row's scores going straight to the exact per-row selection _row_topk:
+one row (320 KB at 40k candidates) stays in L2 cache between the kernel
+and the selection, where a (rows, n) score matrix would not.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
-from .kgstore import EntitySet, KGStore
+from .errors import ArgumentError, DimensionError, QueryError
+from .kgstore import U64_MAX, EntitySet, KGStore
 from .parallel import WorkerGang, block_bounds
 from .topk import (
     NEG_INF,
@@ -54,37 +61,38 @@ def transe_score(composite, t_emb, gamma: float = 1.0) -> float:
 
 
 def _score_block(
-    emb_t: np.ndarray, found: np.ndarray, comps: np.ndarray, gamma: float
+    emb_t: np.ndarray, found: np.ndarray, comp: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """Scores of a transposed (dim, n) embedding block; missing columns get -inf.
+    """(n,) scores of one (dim,) composite against a transposed (dim, n) block.
 
-    comps is one (dim,) composite, giving (n,) scores, or a (rows, dim)
-    stack, giving a (rows, n) matrix. Walks the dimensions in ascending
-    order (one contiguous row of the block per step), so every element
-    is accumulated in exactly the scalar kernel's order. A single
-    composite stays 1-D: the generic engine calls this once per
-    (path, relation) with a handful of candidates, where a one-row
-    matrix costs measurably more.
+    Walks the dimensions in ascending order (one contiguous row of the
+    block per step), so every element is accumulated in exactly the
+    scalar kernel's order. Columns whose embedding is missing score -inf.
     """
-    cols = comps if comps.ndim == 1 else comps.T[:, :, None]
-    dim = len(emb_t)
-    acc = np.abs(emb_t[0] - cols[0])
-    if dim > 1:
+    acc = np.abs(emb_t[0] - comp[0])
+    if len(emb_t) > 1:
         tmp = np.empty_like(acc)
-        for j in range(1, dim):
-            np.subtract(emb_t[j], cols[j], out=tmp)
+        for j in range(1, len(emb_t)):
+            np.subtract(emb_t[j], comp[j], out=tmp)
             np.abs(tmp, out=tmp)
             acc += tmp
     scores = np.subtract(gamma, acc, out=acc)
     if not found.all():
-        scores[..., ~found] = NEG_INF
+        scores[~found] = NEG_INF
     return scores
 
 
 def _as_candidate_ids(candidates) -> np.ndarray:
+    """Sorted unique uint64 ids; a raw id that is not a u64 integer is a QueryError."""
     if isinstance(candidates, EntitySet):
         return candidates.ids
-    return np.unique(np.asarray(candidates, dtype=np.uint64))
+    if isinstance(candidates, np.ndarray) and candidates.dtype.kind == "u":
+        return np.unique(candidates.astype(np.uint64))
+    values = np.asarray(candidates, dtype=object).ravel().tolist()
+    for v in values:
+        if not isinstance(v, (int, np.integer)) or not 0 <= v <= U64_MAX:
+            raise QueryError(f"candidate {v!r} is not an unsigned 64-bit entity id")
+    return np.unique(np.array(values, dtype=np.uint64))
 
 
 def _rank_rows(ids: np.ndarray, scores: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,37 +111,23 @@ def _rank_rows(ids: np.ndarray, scores: np.ndarray, width: int) -> tuple[np.ndar
     return ids_sorted[:, :take], scores_sorted[:, :take]
 
 
-def _matrix_topk(
-    ids_blk: np.ndarray, scores: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-row top-k of a (rows, n) score matrix (ids_blk ascending).
+def _row_topk(ids_blk: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k (ids, scores) of one score row, best first (ids_blk ascending).
 
-    argpartition selects k per row in O(n); rows where ties straddle the
-    k-th score (so the selected SET is not unique) are re-selected
-    exactly with the scalar-path rule: strictly-better scores first,
-    then boundary ties by ascending id.
+    The k-th largest score is the cutoff; keeping every score at or
+    above it keeps every boundary tie, and a stable sort by descending
+    score leaves tied scores in ascending id order. Exact because the
+    scores are totally ordered: finite or -inf, never NaN.
     """
-    rows, n = scores.shape
+    n = len(scores)
     kk = min(k, n)
-    if kk == 0:
-        empty_i = np.empty((rows, 0), dtype=np.uint64)
-        empty_s = np.empty((rows, 0), dtype=np.float64)
-        return empty_i, empty_s
-    if n == kk:
-        sel_idx = np.tile(np.arange(n), (rows, 1))
+    if n > kk:
+        cutoff = np.partition(scores, n - kk)[n - kk]
+        idx = np.flatnonzero(scores >= cutoff)
     else:
-        sel_idx = np.argpartition(scores, n - kk, axis=1)[:, n - kk :]
-        sel_scores = np.take_along_axis(scores, sel_idx, axis=1)
-        cutoff = sel_scores.min(axis=1)
-        ge_counts = (scores >= cutoff[:, None]).sum(axis=1)
-        for r in np.flatnonzero(ge_counts > kk).tolist():
-            row = scores[r]
-            gt = np.flatnonzero(row > cutoff[r])
-            eq = np.flatnonzero(row == cutoff[r])[: kk - len(gt)]
-            sel_idx[r] = np.concatenate([gt, eq])
-    picked_ids = ids_blk[sel_idx]
-    picked_scores = np.take_along_axis(scores, sel_idx, axis=1)
-    return _rank_rows(picked_ids, picked_scores, kk)
+        idx = np.arange(n)
+    best = idx[np.argsort(-scores[idx], kind="stable")[:kk]]
+    return ids_blk[best], scores[best]
 
 
 def score_candidates_topk_many(
@@ -149,8 +143,8 @@ def score_candidates_topk_many(
     """Top-k candidates by TransE score against each of many composites.
 
     Candidates are block-partitioned over the workers. Each worker
-    gathers its block once, scores every composite with one kernel call,
-    and keeps a per-composite ranking of its block's k best; the rankings
+    gathers its block once, then scores the composites one at a time and
+    keeps each one's exact top-k of its block; the stacked rankings
     are combined by the chosen reduction collective (tree or locked),
     every composite's merge riding the same rounds, so barrier count is
     O(log workers) per call however many composites there are. Missing
@@ -158,11 +152,14 @@ def score_candidates_topk_many(
     finite-scored candidates exist.
 
     Entries of `composites` may be None (no composite could be formed);
-    those yield None results. Results are lists of ScoredEntity, best
-    first, identical for any worker count and either merge.
+    those yield None results. A composite or gamma that is not finite is
+    an ArgumentError. Results are lists of ScoredEntity, best first,
+    identical for any worker count and either merge.
     """
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
+    if not math.isfinite(gamma):
+        raise ArgumentError(f"gamma must be finite, got {gamma}")
     if merge not in ("tree", "locked"):
         raise ArgumentError(f"unknown merge strategy {merge!r}")
     live_idx = []
@@ -173,6 +170,8 @@ def score_candidates_topk_many(
         arr = np.asarray(c, dtype=np.float64)
         if arr.shape != (store.dim,):
             raise DimensionError(f"composite shape {arr.shape} != ({store.dim},)")
+        if not np.isfinite(arr).all():
+            raise ArgumentError(f"composite {qi} is not finite: {arr.tolist()}")
         live_idx.append(qi)
         live_comps.append(arr)
 
@@ -183,7 +182,6 @@ def score_candidates_topk_many(
         stats["score_evals"] = stats.get("score_evals", 0) + n * len(live_comps)
     if not live_comps:
         return out
-    comps = np.stack(live_comps)
 
     gang = WorkerGang(workers)
     locals_: list = [None] * workers
@@ -201,7 +199,8 @@ def score_candidates_topk_many(
         lo, hi = block_bounds(n, workers, wid)
         ids_blk = cand_ids[lo:hi]
         emb_t, found = store.gather_entity_embeddings(ids_blk)
-        locals_[wid] = _matrix_topk(ids_blk, _score_block(emb_t, found, comps, gamma), k)
+        ranked = [_row_topk(ids_blk, _score_block(emb_t, found, c, gamma), k) for c in live_comps]
+        locals_[wid] = tuple(map(np.stack, zip(*ranked)))
         gang.barrier.wait()
         if merge == "tree":
             res = reduce_topk_tree(locals_, workers, wid, gang.barrier, combine=combine)

@@ -1,12 +1,16 @@
 """TransE kernels and the parallel batch scorer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kghop.errors import DimensionError
-from kghop.kgstore import EntitySet
+from kghop.errors import ArgumentError, DimensionError, QueryError
+from kghop.kgstore import EntitySet, KGStore
 from kghop.scoring import (
-    _matrix_topk,
+    _row_topk,
     _score_block,
     embedding_aggregation,
     score_candidates_topk,
@@ -85,13 +89,13 @@ class TestTranseScore:
 
 
 def one_row_topk(ids, scores, k):
-    """_matrix_topk of a single score row, as ScoredEntity items."""
-    ids_mat, scores_mat = _matrix_topk(ids, scores[None, :], k)
-    return [ScoredEntity(e, s) for e, s in zip(ids_mat[0].tolist(), scores_mat[0].tolist())]
+    """_row_topk of one score row, as ScoredEntity items."""
+    top_ids, top_scores = _row_topk(ids, scores, k)
+    return [ScoredEntity(e, s) for e, s in zip(top_ids.tolist(), top_scores.tolist())]
 
 
 class TestBlockKernel:
-    """The one block kernel at a (dim,) composite, and the top-k extractor at one row."""
+    """The one block kernel, and the exact top-k of one score row."""
 
     @pytest.mark.parametrize("dim", [1, 3, 8, 17])
     def test_bit_identical_to_scalar_kernel(self, dim):
@@ -111,8 +115,6 @@ class TestBlockKernel:
         found = np.array([True, False, True])
         scores = _score_block(emb_t, found, np.zeros(2), gamma=1.0)
         assert scores.tolist() == [1.0, NEG_INF, 1.0]
-        matrix = _score_block(emb_t, found, np.zeros((2, 2)), gamma=1.0)
-        assert matrix.tolist() == [[1.0, NEG_INF, 1.0]] * 2
 
     def test_block_topk_matches_reference(self):
         rng = np.random.default_rng(7)
@@ -215,49 +217,51 @@ class TestScoreCandidatesTopK:
 
 
 class TestMatrixBatchPath:
-    def test_matrix_kernel_bit_identical_to_scalar(self):
+    """Hop 3's batch path: many composites, each streamed through the kernel and _row_topk."""
+
+    def test_many_scores_bit_identical_to_scalar(self):
         rng = np.random.default_rng(40)
-        block = rng.normal(0, 1, (30, 8))
-        comps = rng.normal(0, 1, (5, 8))
-        emb_t = np.ascontiguousarray(block.T)
-        found = np.ones(30, dtype=bool)
-        scores = _score_block(emb_t, found, comps, gamma=1.5)
-        for q in range(5):
-            for i in range(30):
-                assert scores[q, i] == transe_score(comps[q], block[i], gamma=1.5)
+        embs = {i: rng.normal(0, 1, 8) for i in range(30)}
+        store = make_store(8, 1, [], embs, [[0.0] * 8])
+        comps = [rng.normal(0, 1, 8) for _ in range(5)]
+        cands = EntitySet(ids=np.arange(30, dtype=np.uint64))
+        for comp, got in zip(comps, score_candidates_topk_many(comps, cands, store, 30, 3, 1.5)):
+            assert len(got) == 30
+            for it in got:
+                assert it.score == transe_score(comp, embs[it.entity], gamma=1.5)
 
     @pytest.mark.parametrize("dim", [1, 8])
     def test_one_composite_and_stacked_rows_give_the_same_bits(self, dim):
+        # every row the batch path returns (3 worker blocks, merged)
+        # carries the 1-D kernel's bits over the whole candidate set
         rng = np.random.default_rng(43 + dim)
-        emb_t = np.ascontiguousarray(rng.normal(0, 1, (dim, 40)))
-        found = rng.random(40) > 0.2
-        comps = rng.normal(0, 1, (4, dim))
-        matrix = _score_block(emb_t, found, comps, gamma=0.75)
-        for q in range(4):
-            row = _score_block(emb_t, found, comps[q], gamma=0.75)
-            assert row.tobytes() == matrix[q].tobytes()
+        embs = {i: rng.normal(0, 1, dim) for i in range(40) if rng.random() > 0.2}
+        store = make_store(dim, 1, [], embs, [[0.0] * dim])
+        ids = np.arange(40, dtype=np.uint64)
+        emb_t, found = store.gather_entity_embeddings(ids)
+        comps = [rng.normal(0, 1, dim) for _ in range(4)]
+        batched = score_candidates_topk_many(comps, EntitySet(ids=ids), store, 40, 3, 0.75)
+        for comp, got in zip(comps, batched):
+            row = _score_block(emb_t, found, comp, gamma=0.75)
+            expected = ref_topk(list(zip(ids.tolist(), row.tolist())), 40)
+            got_bits = [(it.entity, np.float64(it.score).tobytes()) for it in got]
+            assert got_bits == [(it.entity, np.float64(it.score).tobytes()) for it in expected]
 
-    def test_matrix_topk_matches_per_row_reference(self):
+    def test_row_topk_matches_per_row_reference(self):
         rng = np.random.default_rng(41)
         ids = np.sort(rng.choice(5000, 200, replace=False)).astype(np.uint64)
         scores = rng.normal(0, 1, (7, 200))
-        ids_mat, scores_mat = _matrix_topk(ids, scores, 9)
         for q in range(7):
             expected = ref_topk(list(zip(ids.tolist(), scores[q].tolist())), 9)
-            got = [ScoredEntity(e, s) for e, s in
-                   zip(ids_mat[q].tolist(), scores_mat[q].tolist())]
-            assert got == expected
+            assert one_row_topk(ids, scores[q], 9) == expected
 
-    def test_matrix_topk_boundary_ties_resolved_by_id(self):
+    def test_row_topk_boundary_ties_resolved_by_id(self):
         ids = np.array([10, 20, 30, 40, 50], dtype=np.uint64)
-        scores = np.array([
-            [9.0, 5.0, 5.0, 5.0, 1.0],   # tie straddles the k boundary
-            [5.0, 5.0, 5.0, 5.0, 5.0],   # everything tied
-        ])
-        ids_mat, scores_mat = _matrix_topk(ids, scores, 2)
-        assert ids_mat[0].tolist() == [10, 20]
-        assert ids_mat[1].tolist() == [10, 20]
-        assert scores_mat[1].tolist() == [5.0, 5.0]
+        straddle = _row_topk(ids, np.array([9.0, 5.0, 5.0, 5.0, 1.0]), 2)
+        all_tied = _row_topk(ids, np.array([5.0] * 5), 2)
+        assert straddle[0].tolist() == [10, 20]
+        assert all_tied[0].tolist() == [10, 20]
+        assert all_tied[1].tolist() == [5.0, 5.0]
 
     def test_many_rows_equal_brute_force_reference(self):
         rng = np.random.default_rng(42)
@@ -297,3 +301,131 @@ class TestMatrixBatchPath:
             [np.zeros(2)], cands, store, 5, workers=8, merge="tree"
         )
         assert [it.entity for it in got[0]] == [0, 1, 2]
+
+
+def cutoff_ids(n=5000):
+    """Sparse ascending ids, so positions and ids differ."""
+    return np.arange(n, dtype=np.uint64) * 7 + 3
+
+
+class TestRowTopKCutoff:
+    """n >> k, so _row_topk takes the partition-cutoff branch."""
+
+    def test_ties_straddling_the_cutoff(self):
+        rng = np.random.default_rng(50)
+        ids = cutoff_ids()
+        scores = np.round(rng.random(5000), 2)  # ~50 candidates per distinct score
+        expected = ref_topk(list(zip(ids.tolist(), scores.tolist())), 50)
+        assert one_row_topk(ids, scores, 50) == expected
+        cutoff = expected[-1].score
+        assert (scores > cutoff).sum() < 50 < (scores >= cutoff).sum()
+
+    def test_more_than_k_tied_at_the_cutoff(self):
+        rng = np.random.default_rng(51)
+        ids = cutoff_ids()
+        scores = rng.random(5000)
+        tied = np.sort(rng.choice(5000, 200, replace=False))
+        scores[tied] = 2.0
+        got = one_row_topk(ids, scores, 50)
+        assert got == [ScoredEntity(e, 2.0) for e in ids[tied[:50]].tolist()]
+
+    def test_fewer_than_k_finite_fill_with_neg_inf_by_ascending_id(self):
+        rng = np.random.default_rng(52)
+        ids = cutoff_ids()
+        scores = np.full(5000, NEG_INF)
+        finite = rng.choice(5000, 30, replace=False)
+        scores[finite] = rng.normal(0, 1, 30)
+        got = one_row_topk(ids, scores, 50)
+        assert got == ref_topk(list(zip(ids.tolist(), scores.tolist())), 50)
+        unscored = np.delete(ids, finite)
+        assert [it.entity for it in got[30:]] == unscored[:20].tolist()
+
+    def test_k_above_n_sorts_the_whole_row(self):
+        rng = np.random.default_rng(53)
+        ids = cutoff_ids()
+        scores = np.round(rng.normal(0, 1, 5000), 1)
+        got = one_row_topk(ids, scores, 6000)
+        assert got == ref_topk(list(zip(ids.tolist(), scores.tolist())), 6000)
+
+    def test_empty_worker_block(self):
+        top_ids, top_scores = _row_topk(np.empty(0, np.uint64), np.empty(0), 50)
+        assert top_ids.dtype == np.uint64 and len(top_ids) == len(top_scores) == 0
+        store = make_store(2, 1, [], {0: [0.0, 0.0]}, [[0.0, 0.0]])
+        none = EntitySet(ids=np.empty(0, np.uint64))
+        assert score_candidates_topk_many([np.zeros(2)] * 2, none, store, 5, workers=3) == [[], []]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_scorer_equals_brute_force_under_ties(self, workers):
+        # grid embeddings force exact score ties at every rank
+        rng = np.random.default_rng(54)
+        embs = {i: rng.choice([0.0, 0.5, 1.0], 4) for i in range(5000) if i % 41}
+        store = make_store(4, 1, [], embs, [[0.0] * 4])
+        cands = EntitySet(ids=np.arange(5000, dtype=np.uint64))
+        comps = [rng.choice([0.0, 0.5, 1.0], 4) for _ in range(3)]
+        got = score_candidates_topk_many(comps, cands, store, 50, workers=workers)
+        assert got == [ref_topk(ref_brute_force_scores(store, c, range(5000)), 50) for c in comps]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([NEG_INF, 0.0, 0.5, 1.0]), max_size=120),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_row_topk_equals_reference(self, values, k):
+        ids = cutoff_ids(len(values))
+        scores = np.array(values, dtype=np.float64)
+        assert one_row_topk(ids, scores, k) == ref_topk(list(zip(ids.tolist(), values)), k)
+
+
+class TestScorerInputs:
+    @pytest.mark.parametrize(
+        "bad, gamma, match",
+        [
+            (np.array([0.0, np.nan]), 1.0, "composite 1"),
+            (np.array([np.inf, 0.0]), 1.0, "composite 1"),
+            (np.array([0.0, -np.inf]), 1.0, "composite 1"),
+            (np.zeros(2), np.inf, "gamma"),
+            (np.zeros(2), -np.inf, "gamma"),
+            (np.zeros(2), np.nan, "gamma"),
+        ],
+        ids=["nan-comp", "inf-comp", "neg-inf-comp", "inf-gamma", "neg-inf-gamma", "nan-gamma"],
+    )
+    def test_non_finite_composite_or_gamma_rejected(self, bad, gamma, match):
+        store = make_store(2, 1, [], {i: [float(i), 0.0] for i in range(30)}, [[0.0, 0.0]])
+        cands = EntitySet(ids=np.arange(30, dtype=np.uint64))
+        with pytest.raises(ArgumentError, match=match):
+            score_candidates_topk_many([np.zeros(2), bad], cands, store, 3, gamma=gamma)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[-1, 3], [2**64], [1.5, 3], [3.0], ["3"], np.array([-1, 3]), np.array([2.0])],
+        ids=["-1", "2**64", "1.5", "3.0", "str", "int64-array--1", "float64-array"],
+    )
+    def test_raw_candidate_outside_u64_rejected(self, raw):
+        store = make_store(2, 1, [], {3: [0.0, 0.0]}, [[0.0, 0.0]])
+        with pytest.raises(QueryError, match="unsigned 64-bit"):
+            score_candidates_topk(np.zeros(2), raw, store, 2)
+
+    def test_raw_candidates_are_deduplicated_ids_up_to_u64_max(self):
+        store = make_store(2, 1, [], {3: [0.0, 0.0]}, [[0.0, 0.0]])
+        got = score_candidates_topk(np.zeros(2), [2**64 - 1, 3, np.uint64(3), 0], store, 5)
+        assert [it.entity for it in got] == [3, 0, 2**64 - 1]
+
+
+def test_hop3_scorer_allocates_no_rows_by_n_matrix():
+    # (50, 40_000) float64 is 16 MB; the row-streamed scorer peaks near 5.5 MB
+    rng = np.random.default_rng(60)
+    n, dim = 40_000, 8
+    store = KGStore(
+        np.arange(n, dtype=np.uint64), rng.normal(0, 1, (n, dim)), np.zeros((1, dim)),
+        np.empty(0, np.uint64), np.empty(0, np.uint64), np.empty(0, np.uint64),
+    )
+    cands = EntitySet(ids=np.arange(n, dtype=np.uint64))
+    comps = list(rng.normal(0, 1, (50, dim)))
+    tracemalloc.start()
+    try:
+        got = score_candidates_topk_many(comps, cands, store, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(r) for r in got] == [50] * 50
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
