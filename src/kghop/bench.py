@@ -3,9 +3,10 @@
 Times the three-hop query end to end (multiHopReasoning) and per stage
 (computeScorePerPerson, computeScoreBasedOnWorksInDL,
 computeAffiliationScore), plus the generic path engine (genericMHR),
-for each requested mode and worker count. Warmup runs are discarded and
-the median of the remaining repetitions is reported, with speedup
-relative to the same mode and stage at one worker.
+for each requested mode and worker count, as spans of a Trace. Warmup
+runs are discarded and the median of the remaining repetitions is
+reported, with speedup relative to the same mode and stage at one
+worker.
 
 Before any timing, the harness runs all three three-hop implementations
 (optimized, simple, oracle) plus the generic engine against its oracle
@@ -18,7 +19,6 @@ from __future__ import annotations
 import csv
 import os
 import statistics
-import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +36,10 @@ from .pipeline import (
     ThreeHopQuery,
     three_hop_query,
 )
+from .trace import Trace, span
 
 STAGE_GENERIC = "genericMHR"
+STAGES = (STAGE_TOTAL, STAGE_HOP1, STAGE_HOP2, STAGE_HOP3, STAGE_GENERIC)
 
 CSV_HEADER = ["stage", "mode", "workers", "runtime_ms", "speedup"]
 
@@ -99,20 +101,9 @@ class BenchRecord:
     speedup: float
 
 
-def _results_match(a: AffiliationResult, b: AffiliationResult, tol: float = 1e-9) -> bool:
-    if [p.entity for p in a.ranked_persons] != [p.entity for p in b.ranked_persons]:
-        return False
-    if any(abs(x.score - y.score) > tol for x, y in zip(a.ranked_persons, b.ranked_persons)):
-        return False
-    if list(a.affiliations.keys()) != list(b.affiliations.keys()):
-        return False
-    for pid in a.affiliations:
-        ua, ub = a.affiliations[pid], b.affiliations[pid]
-        if [u.entity for u in ua] != [u.entity for u in ub]:
-            return False
-        if any(abs(x.score - y.score) > tol for x, y in zip(ua, ub)):
-            return False
-    return True
+def _results_match(a: AffiliationResult, b: AffiliationResult) -> bool:
+    """Bit-exact equality: every field, every score, and the order of the affiliation keys."""
+    return a == b and list(a.affiliations) == list(b.affiliations)
 
 
 def _cross_check(store, query, source, target, hops, k, gamma, check_workers) -> None:
@@ -167,45 +158,33 @@ def run_bench(
         for w in worker_counts:
             samples: dict[str, list[float]] = {}
 
-            def run_once(collect: bool) -> None:
-                timings: dict = {}
-                start = time.perf_counter()
+            def run_once() -> Trace:
+                trace = Trace()
                 if mode == "oracle":
-                    oracle_three_hop(store, query, timings=timings)
+                    oracle_three_hop(store, query, trace=trace)
+                    with span(trace, STAGE_GENERIC):
+                        oracle_beam_paths(
+                            store, source, target, spec.generic_hops, spec.k, gamma=spec.gamma
+                        )
                 else:
-                    three_hop_query(store, query, mode=mode, workers=w, timings=timings)
-                total = time.perf_counter() - start
-                if collect:
-                    samples.setdefault(STAGE_TOTAL, []).append(total)
-                    for key in (STAGE_HOP1, STAGE_HOP2, STAGE_HOP3):
-                        samples.setdefault(key, []).append(timings[key])
-
-            def run_generic_once(collect: bool) -> None:
-                start = time.perf_counter()
-                if mode == "oracle":
-                    oracle_beam_paths(
-                        store, source, target, spec.generic_hops, spec.k, gamma=spec.gamma
-                    )
-                else:
-                    multihop_reasoning_generic(
-                        store, source, target, spec.generic_hops, spec.k,
-                        workers=w, gamma=spec.gamma,
-                    )
-                if collect:
-                    samples.setdefault(STAGE_GENERIC, []).append(time.perf_counter() - start)
+                    three_hop_query(store, query, mode=mode, workers=w, trace=trace)
+                if mode == "optimized":
+                    with span(trace, STAGE_GENERIC):
+                        multihop_reasoning_generic(
+                            store, source, target, spec.generic_hops, spec.k,
+                            workers=w, gamma=spec.gamma, trace=trace,
+                        )
+                return trace
 
             for _ in range(spec.warmups):
-                run_once(collect=False)
+                run_once()
             for _ in range(spec.repetitions):
-                run_once(collect=True)
-            if mode != "simple":
-                for _ in range(spec.warmups):
-                    run_generic_once(collect=False)
-                for _ in range(spec.repetitions):
-                    run_generic_once(collect=True)
+                for s in run_once().spans:
+                    if s.name in STAGES:
+                        samples.setdefault(s.name, []).append((s.end_ns - s.start_ns) / 1e6)
 
             for stage, values in samples.items():
-                ms = statistics.median(values) * 1000.0
+                ms = statistics.median(values)
                 key = (mode, stage)
                 if w == 1:
                     base_ms[key] = ms

@@ -23,8 +23,9 @@ import numpy as np
 from .errors import ArgumentError, CapacityError, QueryError
 from .kgstore import U64_MAX, KGStore
 from .parallel import WorkerGang, block_bounds
-from .scoring import _score_block
+from .scoring import _score_block, require_finite_gamma
 from .topk import TopKSelector
+from .trace import Trace, count, span
 
 _I64_MAX = 2**63 - 1
 
@@ -83,11 +84,12 @@ class SharedResults:
 
 
 def total_frontier_capacity(k: int, num_hops: int) -> int:
-    """Frontier pre-reservation size: sum of k^i for i in 0..num_hops-2.
+    """Frontier capacity bound: sum of k^i for i in 0..num_hops-2.
 
     The geometric closed form (k^(num_hops-1) - 1) / (k - 1) degenerates
-    at k=1 to num_hops - 1. Capacities beyond a 64-bit signed integer are
-    rejected rather than attempted.
+    at k=1 to num_hops - 1. The engines only validate the value, nothing
+    is reserved from it: a capacity beyond a 64-bit signed integer is a
+    CapacityError.
     """
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
@@ -196,7 +198,7 @@ def multihop_reasoning_generic(
     k: int,
     workers: int = 1,
     gamma: float = 1.0,
-    stats: dict | None = None,
+    trace: Trace | None = None,
 ) -> list[ScoredPath]:
     """Top-k completed source-to-target paths of length <= num_hops.
 
@@ -205,12 +207,14 @@ def multihop_reasoning_generic(
     level, each of min(workers, frontier) workers expands a contiguous
     frontier block into its own buffer; buffers are concatenated in
     worker order, so the frontier sequence is identical for every worker
-    count.
+    count. When given, `trace` receives one `level` span per expanded
+    level, counting the paths it leaves for the next level as `frontier`.
     """
     if num_hops < 1:
         raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
+    require_finite_gamma(gamma)
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
     if source == target:
@@ -234,8 +238,8 @@ def multihop_reasoning_generic(
             for i in range(lo, hi):
                 expand_path(current[i], buf, store, target, k, results, gamma)
 
-        gang.run(work)
-        frontier = [p for buf in buffers for p in buf]
-        if stats is not None:
-            stats.setdefault("frontier_sizes", []).append(len(frontier))
+        with span(trace, "level"):
+            gang.run(work)
+            frontier = [p for buf in buffers for p in buf]
+            count(trace, "frontier", len(frontier))
     return results.drain_sorted()

@@ -36,6 +36,7 @@ from .errors import (
     DuplicateIdError,
     EmbeddingValueError,
     ParseError,
+    QueryError,
     RelationRangeError,
 )
 
@@ -58,12 +59,22 @@ _EMPTY_U64 = _frozen(np.empty(0, dtype=np.uint64))
 
 @dataclass(frozen=True)
 class EntitySet:
-    """Deduplicated, ascending-sorted, read-only entity ids."""
+    """Deduplicated, ascending-sorted, read-only entity ids.
+
+    An id that is not an integer in 0..2**64-1 is a QueryError. Checked
+    per element, so ids above 2**63 are not rounded through float64.
+    """
 
     ids: np.ndarray
 
     def __post_init__(self):
-        norm = np.unique(np.asarray(self.ids, dtype=np.uint64))
+        ids = self.ids
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "u"):
+            ids = np.asarray(ids, dtype=object).ravel().tolist()
+            for v in ids:
+                if not isinstance(v, (int, np.integer)) or not 0 <= v <= U64_MAX:
+                    raise QueryError(f"entity id {v!r} is not an unsigned 64-bit integer")
+        norm = np.unique(np.asarray(ids, dtype=np.uint64))
         object.__setattr__(self, "ids", _frozen(norm))
 
     def __len__(self) -> int:

@@ -12,8 +12,6 @@ bit-identical to the engines' kernels, so comparisons are exact.
 
 from __future__ import annotations
 
-import time
-
 from .errors import ArgumentError, QueryError
 from .kgstore import KGStore
 from .generic import Path, ScoredPath, require_entity_ids, total_frontier_capacity
@@ -21,10 +19,13 @@ from .pipeline import (
     STAGE_HOP1,
     STAGE_HOP2,
     STAGE_HOP3,
+    STAGE_TOTAL,
     AffiliationResult,
     ThreeHopQuery,
 )
+from .scoring import require_finite_gamma
 from .topk import NEG_INF, ScoredEntity
+from .trace import Trace, span
 
 
 def oracle_topk(items, k: int) -> list[ScoredEntity]:
@@ -60,52 +61,42 @@ def _composite(store: KGStore, eid: int, rel: int, what: str) -> list[float]:
     return [a + b for a, b in zip(emb.tolist(), rel_emb.tolist())]
 
 
+def _ranked(store: KGStore, comp: list[float], ids, gamma: float, k: int) -> list:
+    """The k best of `ids` scored against the composite."""
+    return oracle_topk([ScoredEntity(i, _score_against(store, comp, i, gamma)) for i in ids], k)
+
+
 def oracle_three_hop(
-    store: KGStore, q: ThreeHopQuery, timings: dict | None = None
+    store: KGStore, q: ThreeHopQuery, trace: Trace | None = None
 ) -> AffiliationResult:
-    """Sequential restatement of the three-hop query semantics."""
+    """Sequential restatement of the three-hop query semantics.
+
+    Records into `trace` the same STAGE_TOTAL and per-hop spans as
+    three_hop_query.
+    """
     for rid, name in ((q.rel1, "rel1"), (q.rel2, "rel2"), (q.rel3, "rel3")):
         if not (0 <= rid < store.num_relations):
             raise QueryError(f"{name}={rid} is not a relation of this store")
 
-    def timed(key):
-        start = time.perf_counter()
+    with span(trace, STAGE_TOTAL):
+        persons = _tail_ids(store, q.rel1)
+        comp1 = _composite(store, q.anchor1, q.rel1, "anchor1")
+        with span(trace, STAGE_HOP1):
+            hop1 = _ranked(store, comp1, persons, q.gamma, q.k)
 
-        def done():
-            if timings is not None:
-                timings[key] = time.perf_counter() - start
+        comp2 = _composite(store, q.anchor2, q.rel2, "anchor2")
+        with span(trace, STAGE_HOP2):
+            hop2 = _ranked(store, comp2, [p.entity for p in hop1], q.gamma, q.k)
 
-        return done
-
-    persons = _tail_ids(store, q.rel1)
-    comp1 = _composite(store, q.anchor1, q.rel1, "anchor1")
-
-    done = timed(STAGE_HOP1)
-    scored = [ScoredEntity(pid, _score_against(store, comp1, pid, q.gamma)) for pid in persons]
-    hop1 = oracle_topk(scored, q.k)
-    done()
-
-    comp2 = _composite(store, q.anchor2, q.rel2, "anchor2")
-    done = timed(STAGE_HOP2)
-    rescored = [ScoredEntity(p.entity, _score_against(store, comp2, p.entity, q.gamma)) for p in hop1]
-    hop2 = oracle_topk(rescored, q.k)
-    done()
-
-    universities = _tail_ids(store, q.rel3)
-    rel3_emb = store.relation_embedding(q.rel3).tolist()
-    done = timed(STAGE_HOP3)
-    affiliations: dict[int, list[ScoredEntity]] = {}
-    for p in hop2:
-        pemb = store.entity_embedding(p.entity)
-        if pemb is None:
-            affiliations[p.entity] = []
-            continue
-        comp = [a + b for a, b in zip(pemb.tolist(), rel3_emb)]
-        scored_unis = [
-            ScoredEntity(uid, _score_against(store, comp, uid, q.gamma)) for uid in universities
-        ]
-        affiliations[p.entity] = oracle_topk(scored_unis, q.k)
-    done()
+        universities = _tail_ids(store, q.rel3)
+        with span(trace, STAGE_HOP3):
+            affiliations: dict[int, list[ScoredEntity]] = {}
+            for p in hop2:
+                if store.entity_embedding(p.entity) is None:
+                    affiliations[p.entity] = []
+                else:
+                    comp = _composite(store, p.entity, q.rel3, "person")
+                    affiliations[p.entity] = _ranked(store, comp, universities, q.gamma, q.k)
 
     return AffiliationResult(ranked_persons=hop2, affiliations=affiliations, hop1_persons=hop1)
 
@@ -127,6 +118,7 @@ def oracle_beam_paths(
     """
     if num_hops < 1:
         raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
+    require_finite_gamma(gamma)
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
     if source == target:

@@ -19,9 +19,7 @@ Hop semantics:
 
 from __future__ import annotations
 
-import math
 import threading
-import time
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError, QueryError
@@ -29,11 +27,13 @@ from .kgstore import EntitySet, KGStore, extract_entities
 from .parallel import WorkerGang, block_bounds
 from .scoring import (
     embedding_aggregation,
+    require_finite_gamma,
     score_candidates_topk,
     score_candidates_topk_many,
     transe_score,
 )
 from .topk import NEG_INF, ScoredEntity
+from .trace import Trace, count, span
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class ThreeHopQuery:
     def __post_init__(self):
         if self.k < 1:
             raise ArgumentError(f"k must be >= 1, got {self.k}")
-        if not math.isfinite(self.gamma):
-            raise ArgumentError(f"gamma must be finite, got {self.gamma}")
+        require_finite_gamma(self.gamma)
 
 
 @dataclass
@@ -119,13 +118,15 @@ def _simple_topk_scan(
     k: int,
     workers: int,
     gamma: float,
-    stats: dict | None = None,
+    trace: Trace | None = None,
 ) -> list[ScoredEntity]:
     """Naive baseline scan: shared locked list, then one full sort.
 
     Deliberately preserves the baseline's cost profile: one mutex
     acquisition per scored candidate and an O(n log n) sort per stage.
+    Counts the candidates it scores as `evals` into `trace`.
     """
+    require_finite_gamma(gamma)
     comp_list = composite.tolist() if isinstance(composite, np.ndarray) else list(composite)
     ids = candidates.ids.tolist()
     shared: list[ScoredEntity] = []
@@ -142,17 +143,17 @@ def _simple_topk_scan(
             with lock:
                 shared.append(item)
 
+    count(trace, "evals", len(ids))
     WorkerGang(workers).run(work)
-    if stats is not None:
-        stats["score_evals"] = stats.get("score_evals", 0) + len(ids)
     shared.sort(key=lambda it: it.order_key())
     return shared[:k]
 
 
-def _scan(mode: str):
+def _scan(mode, composite, candidates, store, k, workers, gamma, merge, trace):
+    """One top-k scan of the candidates, by the scorer of the given mode."""
     if mode == "optimized":
-        return score_candidates_topk
-    return _simple_topk_scan
+        return score_candidates_topk(composite, candidates, store, k, workers, gamma, merge, trace)
+    return _simple_topk_scan(composite, candidates, store, k, workers, gamma, trace)
 
 
 def rescore_with_relation(
@@ -165,7 +166,7 @@ def rescore_with_relation(
     mode: str = "optimized",
     merge: str = "tree",
     gamma: float = 1.0,
-    stats: dict | None = None,
+    trace: Trace | None = None,
 ) -> list[ScoredEntity]:
     """Re-score the given persons against emb(anchor)+emb(rel) and re-rank.
 
@@ -178,11 +179,7 @@ def rescore_with_relation(
     emb = _require_anchor(store, anchor, "anchor")
     composite = embedding_aggregation(emb, store.relation_embedding(rel))
     candidates = EntitySet(ids=np.array([p.entity for p in persons], dtype=np.uint64))
-    if mode == "optimized":
-        return score_candidates_topk(
-            composite, candidates, store, k, workers, gamma, merge, stats
-        )
-    return _simple_topk_scan(composite, candidates, store, k, workers, gamma, stats)
+    return _scan(mode, composite, candidates, store, k, workers, gamma, merge, trace)
 
 
 def three_hop_query(
@@ -191,14 +188,13 @@ def three_hop_query(
     mode: str = "optimized",
     workers: int = 1,
     merge: str = "tree",
-    timings: dict | None = None,
-    stats: dict | None = None,
+    trace: Trace | None = None,
 ) -> AffiliationResult:
     """Run the three-hop query. `simple` and `optimized` return identical results.
 
-    When given, `timings` receives per-stage wall seconds keyed by
-    STAGE_HOP1/STAGE_HOP2/STAGE_HOP3, and `stats` receives
-    hop{1,2,3}_evals score-evaluation counts.
+    When given, `trace` receives a STAGE_TOTAL span holding one span per
+    hop (STAGE_HOP1, STAGE_HOP2, STAGE_HOP3), each counting the
+    candidate scorings it made as `evals`.
     """
     if mode not in MODES:
         raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
@@ -209,63 +205,35 @@ def three_hop_query(
     emb1 = _require_anchor(store, q.anchor1, "anchor1")
     _require_anchor(store, q.anchor2, "anchor2")
 
-    persons = extract_entities(store.edge_table(q.rel1), "tail")
-    comp1 = embedding_aggregation(emb1, store.relation_embedding(q.rel1))
-
-    def staged(key):
-        start = time.perf_counter()
-
-        def done():
-            if timings is not None:
-                timings[key] = time.perf_counter() - start
-
-        return done
-
-    hop_stats: dict = {}
-
-    done = staged(STAGE_HOP1)
-    hop1 = _scan(mode)(comp1, persons, store, q.k, workers, q.gamma, stats=hop_stats)
-    done()
-    if stats is not None:
-        stats["hop1_evals"] = hop_stats.pop("score_evals", 0)
-
-    done = staged(STAGE_HOP2)
-    hop2 = rescore_with_relation(
-        hop1, q.anchor2, q.rel2, store, q.k, workers, mode, merge, q.gamma, hop_stats
-    )
-    done()
-    if stats is not None:
-        stats["hop2_evals"] = hop_stats.pop("score_evals", 0)
-
-    universities = extract_entities(store.edge_table(q.rel3), "tail")
-    rel3_emb = store.relation_embedding(q.rel3)
-
-    done = staged(STAGE_HOP3)
-    affiliations: dict[int, list[ScoredEntity]] = {}
-    if mode == "optimized":
-        composites = []
-        for p in hop2:
-            pe = store.entity_embedding(p.entity)
-            composites.append(None if pe is None else embedding_aggregation(pe, rel3_emb))
-        per_person = score_candidates_topk_many(
-            composites, universities, store, q.k, workers, q.gamma, merge, hop_stats
-        )
-        for p, unis in zip(hop2, per_person):
-            affiliations[p.entity] = unis if unis is not None else []
-    else:
-        for p in hop2:
-            pe = store.entity_embedding(p.entity)
-            if pe is None:
-                affiliations[p.entity] = []
-                continue
-            comp = embedding_aggregation(pe, rel3_emb)
-            affiliations[p.entity] = _simple_topk_scan(
-                comp, universities, store, q.k, workers, q.gamma, hop_stats
+    with span(trace, STAGE_TOTAL):
+        persons = extract_entities(store.edge_table(q.rel1), "tail")
+        comp1 = embedding_aggregation(emb1, store.relation_embedding(q.rel1))
+        with span(trace, STAGE_HOP1):
+            hop1 = _scan(mode, comp1, persons, store, q.k, workers, q.gamma, merge, trace)
+        with span(trace, STAGE_HOP2):
+            hop2 = rescore_with_relation(
+                hop1, q.anchor2, q.rel2, store, q.k, workers, mode, merge, q.gamma, trace
             )
-    done()
-    if stats is not None:
-        stats["hop3_evals"] = hop_stats.pop("score_evals", 0)
 
+        universities = extract_entities(store.edge_table(q.rel3), "tail")
+        rel3_emb = store.relation_embedding(q.rel3)
+        with span(trace, STAGE_HOP3):
+            composites = []
+            for p in hop2:
+                pe = store.entity_embedding(p.entity)
+                composites.append(None if pe is None else embedding_aggregation(pe, rel3_emb))
+            if mode == "optimized":
+                per_person = score_candidates_topk_many(
+                    composites, universities, store, q.k, workers, q.gamma, merge, trace
+                )
+            else:
+                per_person = [
+                    None if c is None else _simple_topk_scan(
+                        c, universities, store, q.k, workers, q.gamma, trace
+                    )
+                    for c in composites
+                ]
+    affiliations = {p.entity: unis or [] for p, unis in zip(hop2, per_person)}
     return AffiliationResult(
         ranked_persons=hop2, affiliations=affiliations, hop1_persons=hop1
     )

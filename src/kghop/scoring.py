@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, QueryError
-from .kgstore import U64_MAX, EntitySet, KGStore
+from .errors import ArgumentError, DimensionError
+from .kgstore import EntitySet, KGStore
 from .parallel import WorkerGang, block_bounds
 from .topk import (
     NEG_INF,
@@ -33,6 +33,13 @@ from .topk import (
     locked_merge_reduce,
     reduce_topk_tree,
 )
+from .trace import Trace, count
+
+
+def require_finite_gamma(gamma: float) -> None:
+    """ArgumentError unless gamma is finite: an infinite or NaN gamma makes every score so."""
+    if not math.isfinite(gamma):
+        raise ArgumentError(f"gamma must be finite, got {gamma}")
 
 
 def embedding_aggregation(h_emb, r_emb) -> np.ndarray:
@@ -82,19 +89,6 @@ def _score_block(
     return scores
 
 
-def _as_candidate_ids(candidates) -> np.ndarray:
-    """Sorted unique uint64 ids; a raw id that is not a u64 integer is a QueryError."""
-    if isinstance(candidates, EntitySet):
-        return candidates.ids
-    if isinstance(candidates, np.ndarray) and candidates.dtype.kind == "u":
-        return np.unique(candidates.astype(np.uint64))
-    values = np.asarray(candidates, dtype=object).ravel().tolist()
-    for v in values:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v <= U64_MAX:
-            raise QueryError(f"candidate {v!r} is not an unsigned 64-bit entity id")
-    return np.unique(np.array(values, dtype=np.uint64))
-
-
 def _rank_rows(ids: np.ndarray, scores: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Order every row by (score desc, id asc) and truncate to width.
 
@@ -138,7 +132,7 @@ def score_candidates_topk_many(
     workers: int = 1,
     gamma: float = 1.0,
     merge: str = "tree",
-    stats: dict | None = None,
+    trace: Trace | None = None,
 ) -> list:
     """Top-k candidates by TransE score against each of many composites.
 
@@ -153,13 +147,13 @@ def score_candidates_topk_many(
 
     Entries of `composites` may be None (no composite could be formed);
     those yield None results. A composite or gamma that is not finite is
-    an ArgumentError. Results are lists of ScoredEntity, best first,
-    identical for any worker count and either merge.
+    an ArgumentError; raw candidate ids follow EntitySet's rule. Results
+    are lists of ScoredEntity, best first, identical for any worker count
+    and either merge. Counts candidates × composites as `evals` into `trace`.
     """
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
-    if not math.isfinite(gamma):
-        raise ArgumentError(f"gamma must be finite, got {gamma}")
+    require_finite_gamma(gamma)
     if merge not in ("tree", "locked"):
         raise ArgumentError(f"unknown merge strategy {merge!r}")
     live_idx = []
@@ -176,10 +170,11 @@ def score_candidates_topk_many(
         live_comps.append(arr)
 
     out: list = [None] * len(composites)
-    cand_ids = _as_candidate_ids(candidates)
+    if not isinstance(candidates, EntitySet):
+        candidates = EntitySet(candidates)
+    cand_ids = candidates.ids
     n = len(cand_ids)
-    if stats is not None:
-        stats["score_evals"] = stats.get("score_evals", 0) + n * len(live_comps)
+    count(trace, "evals", n * len(live_comps))
     if not live_comps:
         return out
 
@@ -227,7 +222,7 @@ def score_candidates_topk(
     workers: int = 1,
     gamma: float = 1.0,
     merge: str = "tree",
-    stats: dict | None = None,
+    trace: Trace | None = None,
 ) -> list[ScoredEntity]:
     """Top-k candidates by TransE score against one composite.
 
@@ -235,5 +230,5 @@ def score_candidates_topk(
     """
     return score_candidates_topk_many(
         [np.asarray(composite, dtype=np.float64)],
-        candidates, store, k, workers, gamma, merge, stats,
+        candidates, store, k, workers, gamma, merge, trace,
     )[0]

@@ -76,10 +76,6 @@ class TopKSelector:
             insort(self._entries, entry)
             self._entries.pop()
 
-    def offer_all(self, items) -> None:
-        for item in items:
-            self.offer(item)
-
     def sorted_items(self) -> list:
         """Current contents, best first, without consuming the selector."""
         return [item for _, item in self._entries]

@@ -3,18 +3,22 @@
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from kghop.bench import (
     CSV_HEADER,
     BenchRecord,
     BenchSpec,
+    _results_match,
     format_table,
     read_csv,
     run_bench,
     write_csv,
 )
 from kghop.errors import ArgumentError
+from kghop.pipeline import AffiliationResult
+from kghop.topk import ScoredEntity
 
 
 def tiny_spec(**kw):
@@ -66,6 +70,13 @@ class TestRunBench:
         assert ("optimized", "genericMHR") in stages
         assert ("oracle", "genericMHR") in stages
         assert ("simple", "genericMHR") not in stages
+        assert {stage for _, stage in stages} == {
+            "multiHopReasoning",
+            "computeScorePerPerson",
+            "computeScoreBasedOnWorksInDL",
+            "computeAffiliationScore",
+            "genericMHR",
+        }
 
     def test_multi_worker_speedup_definition(self):
         records = run_bench(tiny_spec(workers=(1, 2)))
@@ -91,6 +102,32 @@ class TestRunBench:
         assert [(r.stage, r.mode, r.workers) for r in a] == [
             (r.stage, r.mode, r.workers) for r in b
         ]
+
+
+def affiliation_result(ranked_score=0.5, hop1=(2, 1), affiliation_keys=(1, 2)):
+    affiliations = {1: [ScoredEntity(10, 0.75), ScoredEntity(11, -1.0)], 2: []}
+    return AffiliationResult(
+        ranked_persons=[ScoredEntity(1, ranked_score), ScoredEntity(2, 0.25)],
+        affiliations={pid: affiliations[pid] for pid in affiliation_keys},
+        hop1_persons=[ScoredEntity(pid, 0.1 * pid) for pid in hop1],
+    )
+
+
+class TestCrossCheck:
+    def test_identical_results_match(self):
+        assert _results_match(affiliation_result(), affiliation_result())
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            dict(ranked_score=np.nextafter(0.5, 1.0)),
+            dict(hop1=(1, 2)),
+            dict(affiliation_keys=(2, 1)),
+        ],
+        ids=["score-one-ulp", "hop1-reordered", "affiliation-keys-reordered"],
+    )
+    def test_any_difference_is_a_mismatch(self, changed):
+        assert not _results_match(affiliation_result(), affiliation_result(**changed))
 
 
 class TestCsv:

@@ -13,6 +13,7 @@ from kghop.generic import (
 )
 from kghop.oracle import oracle_beam_paths
 from kghop.topk import TopKSelector
+from kghop.trace import Trace
 
 from helpers import make_store, random_graph_store, ref_exhaustive_paths
 
@@ -227,17 +228,23 @@ class TestGenericSearch:
         expected = ref_exhaustive_paths(store, 0, 24, num_hops=3)
         assert [(sp.path.interleaved(), sp.score) for sp in got] == expected
 
+    def test_traced_result_equals_untraced(self):
+        store = random_graph_store(np.random.default_rng(37), n_nodes=60, n_rels=2, n_edges=300)
+        untraced = multihop_reasoning_generic(store, 0, 59, 4, 4, workers=2)
+        assert len(untraced) == 4
+        assert multihop_reasoning_generic(store, 0, 59, 4, 4, workers=2, trace=Trace()) == untraced
+
     def test_results_are_cycle_free_and_bounded(self):
         rng = np.random.default_rng(35)
         store = random_graph_store(rng, n_nodes=60, n_rels=2, n_edges=300, dim=3)
-        stats = {}
-        got = multihop_reasoning_generic(store, 0, 59, 4, 3, workers=2, stats=stats)
+        trace = Trace()
+        got = multihop_reasoning_generic(store, 0, 59, 4, 3, workers=2, trace=trace)
         assert len(got) <= 3
         for sp in got:
             assert len(set(sp.path.nodes)) == len(sp.path.nodes)
             assert sp.path.nodes[0] == 0 and sp.path.nodes[-1] == 59
             assert len(sp.path.relations) <= 4
-        sizes = stats["frontier_sizes"]
+        sizes = [s.counts["frontier"] for s in trace.spans if s.name == "level"]
         prev = 1
         for size in sizes:
             assert size <= prev * 3

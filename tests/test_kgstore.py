@@ -16,6 +16,7 @@ from kghop.errors import (
     EmbeddingValueError,
     KghopError,
     ParseError,
+    QueryError,
     RelationRangeError,
 )
 from kghop.generator import GeneratorSpec, generate, load_labels
@@ -210,6 +211,20 @@ class TestExtractEntities:
         es = EntitySet(ids=np.array([5, 1, 5, 3], dtype=np.uint64))
         assert es.tolist() == [1, 3, 5]
         assert len(es) == 3
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[1.5, 3], [-1, 3], [2**64], [3.0], ["3"], np.array([-1, 3]), np.array([2.0])],
+        ids=["1.5", "-1", "2**64", "3.0", "str", "int64-array--1", "float64-array"],
+    )
+    def test_entity_set_rejects_ids_outside_u64(self, raw):
+        with pytest.raises(QueryError, match="unsigned 64-bit"):
+            EntitySet(ids=raw)
+
+    def test_entity_set_keeps_ids_up_to_u64_max_exactly(self):
+        es = EntitySet(ids=[2**64 - 1, 3, np.uint64(3), 0, 2**63 + 1])
+        assert es.tolist() == [0, 3, 2**63 + 1, 2**64 - 1]
+        assert EntitySet(ids=np.array([7, 2], dtype=np.uint32)).tolist() == [2, 7]
 
 
 class TestEntityIndex:

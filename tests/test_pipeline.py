@@ -6,24 +6,31 @@ import pytest
 
 from kghop.errors import ArgumentError, QueryError
 from kghop.generator import GeneratorSpec, generate
-from kghop.oracle import oracle_three_hop
+from kghop.generic import multihop_reasoning_generic
+from kghop.oracle import oracle_beam_paths, oracle_three_hop
 from kghop.pipeline import (
+    STAGE_HOP1,
+    STAGE_HOP2,
+    STAGE_HOP3,
+    STAGE_TOTAL,
     AffiliationResult,
     ThreeHopQuery,
     rescore_with_relation,
     three_hop_query,
 )
 from kghop.topk import ScoredEntity
+from kghop.trace import Trace
 
 from helpers import make_store
 
 
-def planted_instance():
+def planted_instance(extra_triples=()):
     """Hand-built KG with exact-match plants at hop 1 and hop 3.
 
     Person 1 has embedding == emb(anchor1) + emb(rel1); university 10
     has embedding == emb(person 1) + emb(rel3). All other embeddings are
     fixed far-away vectors, so both plants are strict argmaxes.
+    extra_triples are added to the edges.
     """
     dim = 4
     rel_embs = [
@@ -46,6 +53,7 @@ def planted_instance():
         (a1, 0, 1), (a1, 0, 2), (a1, 0, 3),
         (1, 1, a2), (2, 1, a2), (3, 1, a2),
         (1, 2, 10), (1, 2, 11), (2, 2, 11), (3, 2, 12),
+        *extra_triples,
     ]
     store = make_store(dim, 3, triples, embs, rel_embs)
     query = ThreeHopQuery(anchor1=a1, rel1=0, anchor2=a2, rel2=1, rel3=2, k=2)
@@ -142,10 +150,11 @@ class TestHopSemantics:
         ds, store = gen_store(seed=12)
         q = ThreeHopQuery(ds.award_anchor, 0, ds.field_anchor, 1, 2, k=15)
         for mode in ("optimized", "simple"):
-            stats = {}
-            result = three_hop_query(store, q, mode=mode, workers=3, stats=stats)
+            trace = Trace()
+            result = three_hop_query(store, q, mode=mode, workers=3, trace=trace)
             n_unis = len(ds.university_ids)
-            assert stats["hop3_evals"] == len(result.ranked_persons) * n_unis
+            [hop3] = [s for s in trace.spans if s.name == STAGE_HOP3]
+            assert hop3.counts["evals"] == len(result.ranked_persons) * n_unis
 
     def test_k_larger_than_candidates(self):
         store, query = planted_instance()
@@ -254,16 +263,65 @@ class TestRendering:
         assert "rank" in text
         assert "affiliations of person" in text
 
-    def test_timings_cover_all_stages(self):
+    def test_trace_covers_all_stages(self):
         store, query = planted_instance()
-        timings = {}
-        three_hop_query(store, query, mode="optimized", workers=2, timings=timings)
-        assert set(timings) == {
+        trace = Trace()
+        three_hop_query(store, query, mode="optimized", workers=2, trace=trace)
+        assert {s.name for s in trace.spans if s.parent is not None} == {
             "computeScorePerPerson",
             "computeScoreBasedOnWorksInDL",
             "computeAffiliationScore",
         }
-        assert all(v >= 0 for v in timings.values())
+        assert all(s.end_ns >= s.start_ns for s in trace.spans)
+
+
+def run_three_hop(store, q, mode, trace=None):
+    if mode == "oracle":
+        return oracle_three_hop(store, q, trace=trace)
+    return three_hop_query(store, q, mode=mode, workers=3, trace=trace)
+
+
+class TestTrace:
+    @pytest.mark.parametrize("mode", ["simple", "optimized", "oracle"])
+    def test_traced_result_equals_untraced(self, mode):
+        ds, store = gen_store(seed=13)
+        q = ThreeHopQuery(ds.award_anchor, 0, ds.field_anchor, 1, 2, k=10)
+        assert run_three_hop(store, q, mode, Trace()) == run_three_hop(store, q, mode)
+
+    @pytest.mark.parametrize("mode", ["simple", "optimized", "oracle"])
+    def test_hop_spans_are_disjoint_children_of_the_root(self, mode):
+        store, query = planted_instance()
+        trace = Trace()
+        run_three_hop(store, query, mode, trace)
+        root, *hops = trace.spans
+        assert (root.name, root.parent) == (STAGE_TOTAL, None)
+        assert [s.name for s in hops] == [STAGE_HOP1, STAGE_HOP2, STAGE_HOP3]
+        assert all(s.parent is root for s in hops)
+        bounds = [root.start_ns, *(t for s in hops for t in (s.start_ns, s.end_ns)), root.end_ns]
+        assert bounds == sorted(bounds)
+
+    @pytest.mark.parametrize("mode", ["simple", "optimized"])
+    def test_evals_per_hop(self, mode):
+        # person 4 has no embedding: hops 1 and 2 score it, hop 3 cannot
+        store, query = planted_instance(extra_triples=[(100, 0, 4), (4, 2, 12)])
+        q = ThreeHopQuery(query.anchor1, 0, query.anchor2, 1, 2, k=50)
+        trace = Trace()
+        result = three_hop_query(store, q, mode=mode, workers=2, trace=trace)
+        assert len(result.hop1_persons) == 4 and result.affiliations[4] == []
+        evals = {s.name: s.counts["evals"] for s in trace.spans}
+        assert evals == {STAGE_TOTAL: 0, STAGE_HOP1: 4, STAGE_HOP2: 4, STAGE_HOP3: 3 * 3}
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_gamma_rejected(gamma):
+    store, query = planted_instance()
+    persons = [ScoredEntity(1, 0.0), ScoredEntity(2, 0.0)]
+    for mode in ("simple", "optimized"):
+        with pytest.raises(ArgumentError, match="gamma"):
+            rescore_with_relation(persons, query.anchor2, 1, store, 2, mode=mode, gamma=gamma)
+    for search in (multihop_reasoning_generic, oracle_beam_paths):
+        with pytest.raises(ArgumentError, match="gamma"):
+            search(store, query.anchor1, 10, 3, 2, gamma=gamma)
 
 
 class TestDegenerateStores:

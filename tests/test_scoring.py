@@ -18,6 +18,7 @@ from kghop.scoring import (
     transe_score,
 )
 from kghop.topk import NEG_INF, ScoredEntity
+from kghop.trace import Trace
 
 from helpers import make_store, ref_brute_force_scores, ref_topk, ref_transe
 
@@ -210,10 +211,10 @@ class TestScoreCandidatesTopK:
 
     def test_eval_count_recorded(self):
         store = make_store(2, 1, [], {i: [0.0, 0.0] for i in range(10)}, [[0.0, 0.0]])
-        stats = {}
+        trace = Trace()
         cands = EntitySet(ids=np.arange(10, dtype=np.uint64))
-        score_candidates_topk(np.zeros(2), cands, store, 3, workers=2, stats=stats)
-        assert stats["score_evals"] == 10
+        score_candidates_topk(np.zeros(2), cands, store, 3, workers=2, trace=trace)
+        assert trace.counts["evals"] == 10
 
 
 class TestMatrixBatchPath:
