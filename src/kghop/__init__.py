@@ -44,9 +44,7 @@ from .topk import (
     locked_merge_reduce,
     reduce_selectors,
     reduce_topk_tree,
-    selector_into_sorted_desc,
     selector_merge,
-    selector_new,
 )
 
 __version__ = "0.1.0"

@@ -20,14 +20,15 @@ import csv
 import os
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ArgumentError, BenchError
-from .generator import GeneratorSpec, generate
+from .generator import REL_AFFILIATION, REL_AWARD, REL_FIELD, GeneratorSpec, generate
 from .generic import multihop_reasoning_generic
 from .oracle import oracle_beam_paths, oracle_three_hop
 from .pipeline import (
+    MODES,
     STAGE_HOP1,
     STAGE_HOP2,
     STAGE_HOP3,
@@ -43,23 +44,28 @@ STAGES = (STAGE_TOTAL, STAGE_HOP1, STAGE_HOP2, STAGE_HOP3, STAGE_GENERIC)
 
 CSV_HEADER = ["stage", "mode", "workers", "runtime_ms", "speedup"]
 
+MODES_AND_ORACLE = (*MODES, "oracle")
+
+# GeneratorSpec's fields by the names of BenchSpec's dataset fields and the CLI's flags
+DATASET_FIELDS = {f.name.removeprefix("num_"): f.name for f in fields(GeneratorSpec)}
+
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """Dataset parameters plus the benchmark grid."""
+    """Dataset parameters (GeneratorSpec's defaults) plus the benchmark grid."""
 
-    entities: int = 12000
-    persons: int = 2000
-    universities: int = 5000
-    edges: int = 12000
-    relations: int = 3
-    dim: int = 8
-    seed: int = 42
-    noise: float = 0.01
-    plants: int = 10
-    k: int = 50
-    gamma: float = 1.0
-    modes: tuple[str, ...] = ("simple", "optimized")
+    entities: int = GeneratorSpec.num_entities
+    persons: int = GeneratorSpec.num_persons
+    universities: int = GeneratorSpec.num_universities
+    edges: int = GeneratorSpec.num_edges
+    relations: int = GeneratorSpec.num_relations
+    dim: int = GeneratorSpec.dim
+    seed: int = GeneratorSpec.seed
+    noise: float = GeneratorSpec.noise
+    plants: int = GeneratorSpec.plants
+    k: int = ThreeHopQuery.k
+    gamma: float = ThreeHopQuery.gamma
+    modes: tuple[str, ...] = MODES
     workers: tuple[int, ...] = (1, 2, 4, 8)
     repetitions: int = 5
     warmups: int = 1
@@ -74,22 +80,12 @@ class BenchSpec:
             raise ArgumentError("worker counts must be ascending and unique")
         if self.workers[0] != 1:
             raise ArgumentError("worker counts must start at 1 (speedup baseline)")
-        bad = [m for m in self.modes if m not in ("simple", "optimized", "oracle")]
+        bad = [m for m in self.modes if m not in MODES_AND_ORACLE]
         if bad:
             raise ArgumentError(f"unknown modes {bad}")
 
     def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(
-            num_entities=self.entities,
-            num_persons=self.persons,
-            num_universities=self.universities,
-            num_edges=self.edges,
-            num_relations=self.relations,
-            dim=self.dim,
-            seed=self.seed,
-            noise=self.noise,
-            plants=self.plants,
-        )
+        return GeneratorSpec(**{g: getattr(self, b) for b, g in DATASET_FIELDS.items()})
 
 
 @dataclass
@@ -136,10 +132,10 @@ def run_bench(
     store = dataset.build_store()
     query = ThreeHopQuery(
         anchor1=dataset.award_anchor,
-        rel1=0,
+        rel1=REL_AWARD,
         anchor2=dataset.field_anchor,
-        rel2=1,
-        rel3=2,
+        rel2=REL_FIELD,
+        rel3=REL_AFFILIATION,
         k=spec.k,
         gamma=spec.gamma,
     )

@@ -49,10 +49,10 @@ DATASET_FILES = {
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    num_entities: int
-    num_persons: int
-    num_universities: int
-    num_edges: int
+    num_entities: int = 12000
+    num_persons: int = 2000
+    num_universities: int = 5000
+    num_edges: int = 12000
     num_relations: int = 3
     dim: int = 8
     seed: int = 42

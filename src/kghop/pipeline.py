@@ -32,7 +32,7 @@ from .scoring import (
     score_candidates_topk_many,
     transe_score,
 )
-from .topk import NEG_INF, ScoredEntity
+from .topk import NEG_INF, ScoredEntity, require_merge
 from .trace import Trace, count, span
 
 import numpy as np
@@ -97,6 +97,13 @@ class AffiliationResult:
             for rank, u in enumerate(unis, 1):
                 out.append(f"  {rank:<4d} university {u.entity:<13d} {u.score:.6g}")
         return "\n".join(out)
+
+
+def _require_engine(mode: str, merge: str) -> None:
+    """ArgumentError unless mode is one of MODES and merge one of MERGES, whatever the mode."""
+    if mode not in MODES:
+        raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
+    require_merge(merge)
 
 
 def _require_relation(store: KGStore, rid: int, name: str) -> None:
@@ -173,6 +180,7 @@ def rescore_with_relation(
     Prior scores are discarded; the returned list holds the same entities
     in the new score order (ties by ascending id).
     """
+    _require_engine(mode, merge)
     if len(persons) > k:
         raise ArgumentError(f"rescore got {len(persons)} persons for k={k}")
     _require_relation(store, rel, "rel")
@@ -196,8 +204,7 @@ def three_hop_query(
     hop (STAGE_HOP1, STAGE_HOP2, STAGE_HOP3), each counting the
     candidate scorings it made as `evals`.
     """
-    if mode not in MODES:
-        raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
+    _require_engine(mode, merge)
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
     for rid, name in ((q.rel1, "rel1"), (q.rel2, "rel2"), (q.rel3, "rel3")):

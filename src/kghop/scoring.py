@@ -32,6 +32,7 @@ from .topk import (
     ScoredEntity,
     locked_merge_reduce,
     reduce_topk_tree,
+    require_merge,
 )
 from .trace import Trace, count
 
@@ -154,8 +155,7 @@ def score_candidates_topk_many(
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     require_finite_gamma(gamma)
-    if merge not in ("tree", "locked"):
-        raise ArgumentError(f"unknown merge strategy {merge!r}")
+    require_merge(merge)
     live_idx = []
     live_comps = []
     for qi, c in enumerate(composites):

@@ -25,6 +25,14 @@ from .parallel import WorkerGang
 
 NEG_INF = float("-inf")
 
+MERGES = ("tree", "locked")
+
+
+def require_merge(merge: str) -> None:
+    """ArgumentError unless merge names one of the MERGES collectives."""
+    if merge not in MERGES:
+        raise ArgumentError(f"merge must be one of {MERGES}, got {merge!r}")
+
 
 class ScoredEntity(NamedTuple):
     """An entity id with its score. Score is finite or -inf (missing embedding)."""
@@ -87,10 +95,6 @@ class TopKSelector:
         return out
 
 
-def selector_new(k: int) -> TopKSelector:
-    return TopKSelector(k)
-
-
 def selector_merge(a: TopKSelector, b: TopKSelector) -> TopKSelector:
     """K best of the multiset union of a and b. Inputs are left intact."""
     if a.capacity != b.capacity:
@@ -99,10 +103,6 @@ def selector_merge(a: TopKSelector, b: TopKSelector) -> TopKSelector:
         )
     merged = sorted(a._entries + b._entries)[: a.capacity]
     return TopKSelector._from_entries(a.capacity, merged)
-
-
-def selector_into_sorted_desc(sel: TopKSelector) -> list:
-    return sel.into_sorted_desc()
 
 
 def reduce_topk_tree(
@@ -203,8 +203,7 @@ def reduce_selectors(selectors: list, strategy: str = "tree") -> TopKSelector:
     num_workers = len(selectors)
     if num_workers == 0:
         raise ArgumentError("need at least one selector to reduce")
-    if strategy not in ("tree", "locked"):
-        raise ArgumentError(f"unknown reduction strategy {strategy!r}")
+    require_merge(strategy)
     locals_ = list(selectors)
     gang = WorkerGang(num_workers)
     shared = LockedTopK(selector_merge)

@@ -43,27 +43,15 @@ def physical_cores() -> int:
     return os.cpu_count() or 1
 
 
-def results_field_identical(a, b, tol=1e-9) -> float:
-    """Assert ids and order exact, scores within tol; returns max score delta."""
-    assert [p.entity for p in a.ranked_persons] == [p.entity for p in b.ranked_persons]
-    assert [p.entity for p in a.hop1_persons] == [p.entity for p in b.hop1_persons]
-    assert list(a.affiliations.keys()) == list(b.affiliations.keys())
-    worst = 0.0
-    for x, y in zip(a.ranked_persons, b.ranked_persons):
-        worst = max(worst, abs(x.score - y.score))
-    for pid in a.affiliations:
-        ua, ub = a.affiliations[pid], b.affiliations[pid]
-        assert [u.entity for u in ua] == [u.entity for u in ub]
-        for x, y in zip(ua, ub):
-            worst = max(worst, abs(x.score - y.score))
-    assert worst <= tol
-    return worst
+def results_field_identical(a, b) -> None:
+    """Assert bit-exact equality: every field, every score, and the affiliation key order."""
+    assert a == b
+    assert list(a.affiliations) == list(b.affiliations)
 
 
 def test_criterion_1_three_hop_oracle_equivalence():
     """100 seeds: optimized, simple, and oracle agree field for field."""
     start = time.perf_counter()
-    worst = 0.0
     for seed in range(100):
         spec = GeneratorSpec(
             num_entities=10_000, num_persons=2000, num_universities=500,
@@ -76,15 +64,14 @@ def test_criterion_1_three_hop_oracle_equivalence():
         opt = three_hop_query(store, q, mode="optimized", workers=4, merge=merge)
         simple = three_hop_query(store, q, mode="simple", workers=4)
         orc = oracle_three_hop(store, q)
-        worst = max(worst, results_field_identical(opt, simple))
-        worst = max(worst, results_field_identical(opt, orc))
+        results_field_identical(opt, simple)
+        results_field_identical(opt, orc)
     elapsed = time.perf_counter() - start
     ok = elapsed < 120.0
     report(
         "C1",
         ok,
-        f"100 seeds, 3 modes field-identical; max |score delta| = {worst:.3g}; "
-        f"{elapsed:.1f}s (budget 120s)",
+        f"100 seeds, 3 modes bit-identical; {elapsed:.1f}s (budget 120s)",
     )
     assert ok
 

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from kghop import cli
+from kghop.bench import BenchSpec
 from kghop.cli import main
-from kghop.generator import DATASET_FILES
+from kghop.generator import DATASET_FILES, GeneratorSpec
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +160,13 @@ class TestPathq:
         assert err.startswith("kghop: error:")
 
     def test_simple_mode_rejected(self, chain_dir, capsys):
-        rc, _, err = run_cli(capsys, [
-            "pathq", "--data", str(chain_dir), "--source", "0", "--target", "3",
-            "--mode", "simple",
-        ])
-        assert rc == 1
-        assert "pathq" in err
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pathq", "--data", str(chain_dir), "--source", "0", "--target", "3",
+                "--mode", "simple",
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -177,6 +180,91 @@ class TestBenchCommand:
         assert rc == 0
         assert "multiHopReasoning" in out
         assert csv_path.read_text().startswith("stage,mode,workers,runtime_ms,speedup")
+
+
+# Every flag each subcommand declares, and so reads.
+FLAGS = {
+    "gen": {"--out", "--entities", "--persons", "--universities", "--edges", "--relations",
+            "--dim", "--seed", "--noise", "--plants"},
+    "query3": {"--data", "--anchor1", "--rel1", "--anchor2", "--rel2", "--rel3", "--threads",
+               "--topk", "--gamma", "--mode", "--merge", "--format"},
+    "pathq": {"--data", "--source", "--target", "--hops", "--threads", "--topk", "--gamma",
+              "--mode"},
+    "bench": {"--entities", "--persons", "--universities", "--edges", "--relations", "--dim",
+              "--seed", "--noise", "--plants", "--topk", "--gamma", "--workers", "--modes",
+              "--reps", "--warmups", "--hops", "--csv"},
+}
+
+# The required arguments of each subcommand, so that a usage error can only be the flag tried.
+REQUIRED = {
+    "gen": ["--out", "x"],
+    "query3": ["--data", "x"],
+    "pathq": ["--data", "x", "--source", "0", "--target", "1"],
+    "bench": [],
+}
+
+# Flags each subcommand once accepted and never read.
+UNREAD = [
+    ("gen", "--threads", "8"), ("gen", "--topk", "5"), ("gen", "--gamma", "2.0"),
+    ("gen", "--mode", "simple"), ("gen", "--merge", "locked"),
+    ("query3", "--dim", "16"), ("query3", "--seed", "7"),
+    ("pathq", "--dim", "16"), ("pathq", "--seed", "7"), ("pathq", "--merge", "locked"),
+    ("bench", "--threads", "2"), ("bench", "--mode", "simple"), ("bench", "--merge", "locked"),
+]
+
+
+class TestFlags:
+    def test_each_subcommand_declares_exactly_its_flags(self):
+        subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+        declared = {
+            name: {a.option_strings[-1] for a in sub._actions if a.dest != "help"}
+            for name, sub in subparsers.items()
+        }
+        assert declared == FLAGS
+        assert sum(map(len, declared.values())) == 47
+
+    @pytest.mark.parametrize("command,flag,value", UNREAD, ids=[f"{c}{f}" for c, f, _ in UNREAD])
+    def test_unread_flag_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED[command], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_bench_defaults_build_the_default_spec(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_bench", lambda spec, **kw: seen.append(spec))
+        assert main(["bench"]) == 0
+        expected = BenchSpec(
+            entities=12000, persons=2000, universities=5000, edges=12000, relations=3,
+            dim=8, seed=42, noise=0.01, plants=10, k=50, gamma=1.0,
+            modes=("simple", "optimized"), workers=(1, 2, 4, 8), repetitions=5, warmups=1,
+            generic_hops=3,
+        )
+        assert seen == [expected] and BenchSpec() == expected
+
+    def test_gen_defaults_build_the_default_spec(self, monkeypatch, tmp_path):
+        seen = []
+        tiny = GeneratorSpec(num_entities=60, num_persons=20, num_universities=20, num_edges=80)
+        real = cli.generate
+        monkeypatch.setattr(cli, "generate", lambda spec: seen.append(spec) or real(tiny))
+        assert main(["gen", "--out", str(tmp_path)]) == 0
+        assert seen == [GeneratorSpec()]
+        assert GeneratorSpec() == GeneratorSpec(12000, 2000, 5000, 12000, 3, 8, 42, 0.01, 10)
+
+    def test_query3_default_relations_are_the_generator_schema(self, dataset_dir, monkeypatch):
+        seen = []
+        real = cli.three_hop_query
+        monkeypatch.setattr(
+            cli, "three_hop_query", lambda store, q, **kw: seen.append(q) or real(store, q, **kw)
+        )
+        assert main(["query3", "--data", str(dataset_dir), "--topk", "3"]) == 0
+        assert [(q.rel1, q.rel2, q.rel3) for q in seen] == [(0, 1, 2)]
+
+    @pytest.mark.parametrize("value", ["a", "1,x", "2.5"])
+    def test_bench_workers_not_integers_is_a_usage_error(self, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--workers", value])
+        assert exc.value.code == 2
 
 
 class TestUsageErrors:

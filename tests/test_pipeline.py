@@ -69,16 +69,10 @@ def gen_store(seed=42, entities=2000, persons=400, universities=150, edges=1400,
     return ds, ds.build_store()
 
 
-def assert_results_equal(a: AffiliationResult, b: AffiliationResult, tol=1e-9):
-    assert [p.entity for p in a.ranked_persons] == [p.entity for p in b.ranked_persons]
-    for x, y in zip(a.ranked_persons, b.ranked_persons):
-        assert abs(x.score - y.score) <= tol
-    assert list(a.affiliations.keys()) == list(b.affiliations.keys())
-    for pid in a.affiliations:
-        ua, ub = a.affiliations[pid], b.affiliations[pid]
-        assert [u.entity for u in ua] == [u.entity for u in ub]
-        for x, y in zip(ua, ub):
-            assert abs(x.score - y.score) <= tol
+def assert_results_equal(a: AffiliationResult, b: AffiliationResult):
+    """Bit-exact: every field and score (hop1_persons too), and the affiliation key order."""
+    assert a == b
+    assert list(a.affiliations) == list(b.affiliations)
 
 
 class TestPlantedInstance:
@@ -183,6 +177,20 @@ class TestHopSemantics:
         store, query = planted_instance()
         with pytest.raises(ArgumentError):
             three_hop_query(store, query, mode="turbo")
+
+    @pytest.mark.parametrize("mode", ["simple", "optimized"])
+    def test_invalid_merge_rejected_in_both_modes(self, mode):
+        store, query = planted_instance()
+        persons = [ScoredEntity(1, 0.0), ScoredEntity(2, 0.0)]
+        with pytest.raises(ArgumentError, match="merge"):
+            three_hop_query(store, query, mode=mode, merge="bogus")
+        with pytest.raises(ArgumentError, match="merge"):
+            rescore_with_relation(persons, query.anchor2, 1, store, 2, mode=mode, merge="bogus")
+
+    def test_invalid_mode_rejected_by_rescore(self):
+        store, query = planted_instance()
+        with pytest.raises(ArgumentError, match="mode"):
+            rescore_with_relation([ScoredEntity(1, 0.0)], query.anchor2, 1, store, 2, mode="turbo")
 
     def test_invalid_k(self):
         with pytest.raises(ArgumentError):

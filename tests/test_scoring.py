@@ -396,6 +396,12 @@ class TestScorerInputs:
         with pytest.raises(ArgumentError, match=match):
             score_candidates_topk_many([np.zeros(2), bad], cands, store, 3, gamma=gamma)
 
+    def test_unknown_merge_rejected(self):
+        store = make_store(2, 1, [], {i: [float(i), 0.0] for i in range(30)}, [[0.0, 0.0]])
+        cands = EntitySet(ids=np.arange(30, dtype=np.uint64))
+        with pytest.raises(ArgumentError, match="merge"):
+            score_candidates_topk(np.zeros(2), cands, store, 3, merge="bogus")
+
     @pytest.mark.parametrize(
         "raw",
         [[-1, 3], [2**64], [1.5, 3], [3.0], ["3"], np.array([-1, 3]), np.array([2.0])],

@@ -12,9 +12,7 @@ from kghop.topk import (
     TopKSelector,
     reduce_selectors,
     reduce_topk_tree,
-    selector_into_sorted_desc,
     selector_merge,
-    selector_new,
 )
 
 from helpers import ref_fold_merge, ref_topk, ref_union_topk
@@ -29,16 +27,16 @@ def fill(k, pairs):
 
 class TestSelectorBasics:
     def test_new_capacity_50(self):
-        sel = selector_new(50)
+        sel = TopKSelector(50)
         assert sel.capacity == 50
         assert len(sel) == 0
 
     def test_new_capacity_1(self):
-        assert selector_new(1).capacity == 1
+        assert TopKSelector(1).capacity == 1
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ArgumentError):
-            selector_new(0)
+            TopKSelector(0)
 
     def test_offer_keeps_best_two(self):
         sel = fill(2, [(10, 1.0), (11, 2.0), (12, 3.0)])
@@ -57,7 +55,7 @@ class TestSelectorBasics:
 
     def test_into_sorted_desc_two_items(self):
         sel = fill(5, [(1, 5.0), (2, 9.0)])
-        assert selector_into_sorted_desc(sel) == [ScoredEntity(2, 9.0), ScoredEntity(1, 5.0)]
+        assert sel.into_sorted_desc() == [ScoredEntity(2, 9.0), ScoredEntity(1, 5.0)]
         assert len(sel) == 0  # consumed
 
     def test_into_sorted_desc_empty(self):
@@ -176,6 +174,10 @@ class TestReductions:
     def test_worker_id_out_of_range(self):
         with pytest.raises(ArgumentError):
             reduce_topk_tree([TopKSelector(2)], 1, 1, combine=selector_merge)
+
+    def test_unknown_merge_rejected(self):
+        with pytest.raises(ArgumentError, match="merge"):
+            reduce_selectors([TopKSelector(2)], strategy="bogus")
 
     @pytest.mark.parametrize("num_workers", list(range(1, 18)))
     def test_all_strategies_equal_fold_oracle(self, num_workers):
