@@ -14,7 +14,6 @@ from .generic import (
     ScoredPath,
     expand_path,
     multihop_reasoning_generic,
-    path_composite_embedding,
     total_frontier_capacity,
 )
 from .kgstore import (

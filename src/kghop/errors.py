@@ -9,6 +9,13 @@ class KghopError(Exception):
     """Base class for all kghop errors."""
 
 
+def shown(value) -> str:
+    """repr(value) for a message; an int beyond 64 bits by its size (str() refuses 4300+ digits)."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"<{value.bit_length()}-bit int>"
+    return repr(value)
+
+
 class ParseError(KghopError):
     """A text input line could not be parsed. Carries the 1-based line number."""
 

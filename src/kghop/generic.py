@@ -2,8 +2,9 @@
 
 Level-synchronous frontier expansion: at each level every live path is
 expanded in parallel. A path's composite embedding is the source
-embedding plus the sum of its relation embeddings; each out-neighbor is
-scored against the composite extended by the new edge's relation.
+embedding plus its relation embeddings, added in hop order. Each
+frontier entry carries its path's composite, and each out-neighbor is
+scored against that composite extended by the new edge's relation.
 Neighbors equal to the target complete the path and go to the shared
 results selector; the rest compete for at most k beam slots per parent
 and the survivors form the next frontier.
@@ -20,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, QueryError
-from .kgstore import U64_MAX, KGStore
+from .errors import ArgumentError, CapacityError, QueryError, shown
+from .kgstore import KGStore, require_id
 from .parallel import WorkerGang, block_bounds
 from .scoring import _score_block, require_finite_gamma
 from .topk import TopKSelector
@@ -92,42 +93,30 @@ def total_frontier_capacity(k: int, num_hops: int) -> int:
     CapacityError.
     """
     if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
+        raise ArgumentError(f"k must be >= 1, got {shown(k)}")
     if num_hops < 1:
-        raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
+        raise ArgumentError(f"num_hops must be >= 1, got {shown(num_hops)}")
     if k == 1:
         capacity = num_hops - 1
     else:
-        capacity = (k ** (num_hops - 1) - 1) // (k - 1)
+        # at k >= 2 the first 64 terms alone exceed 2**63 - 1: bound the
+        # exponent so a huge num_hops never forms a huge power
+        capacity = (k ** min(num_hops - 1, 64) - 1) // (k - 1)
     if capacity > _I64_MAX:
         raise CapacityError(
-            f"frontier capacity {capacity} exceeds 64-bit range for k={k}, hops={num_hops}"
+            f"frontier capacity exceeds 64-bit range for k={shown(k)}, hops={shown(num_hops)}"
         )
     return capacity
 
 
 def require_entity_ids(source: int, target: int) -> None:
-    """QueryError unless source and target are unsigned 64-bit ids."""
-    for name, eid in (("source", source), ("target", target)):
-        if not 0 <= eid <= U64_MAX:
-            raise QueryError(f"{name} {eid} is not an unsigned 64-bit entity id")
-
-
-def path_composite_embedding(path: Path, store: KGStore) -> np.ndarray:
-    """emb(source) plus the path's relation embeddings, summed in hop order."""
-    src = store.entity_embedding(path.nodes[0])
-    if src is None:
-        raise QueryError(f"source entity {path.nodes[0]} has no embedding")
-    comp = np.asarray(src, dtype=np.float64)
-    for rel in path.relations:
-        comp = comp + store.relation_embedding(rel)
-    if not path.relations:
-        comp = comp.copy()
-    return comp
+    """QueryError unless source and target pass require_id."""
+    require_id(source, "source")
+    require_id(target, "target")
 
 
 def expand_path(
-    path: Path,
+    entry: tuple[Path, np.ndarray],
     next_frontier: list,
     store: KGStore,
     target: int,
@@ -135,59 +124,41 @@ def expand_path(
     results,
     gamma: float = 1.0,
 ) -> None:
-    """Expand one path by one hop.
+    """Expand one frontier entry, a path and its composite, by one hop.
 
-    Out-edges of the horizon node are enumerated in ascending
-    (relation, tail) order across all relation tables. Neighbors already
-    on the path are skipped (cycle-free), neighbors without an embedding
-    are skipped (scores must stay finite), the target completes the path
-    into `results`, and the best k remaining children are appended to
-    next_frontier.
+    The horizon node's out-edges in every relation table form one
+    candidate array in ascending (relation, tail) order. Neighbors
+    already on the path are skipped (cycle-free), neighbors without an
+    embedding are skipped (scores must stay finite), and one kernel call
+    scores each tail against its own composite, the path's composite
+    plus the edge's relation embedding. The target completes the path
+    into `results`; the best k remaining children are appended to
+    next_frontier with the composite they were scored against. A horizon
+    with no out-edge returns before any gather or scoring.
     """
-    horizon = path.end()
-    composite = path_composite_embedding(path, store)
-    target_u = np.uint64(target)
-
-    cand_tails: list[np.ndarray] = []
-    cand_rels: list[np.ndarray] = []
-    cand_scores: list[np.ndarray] = []
-    for rel in range(store.num_relations):
-        tails = store.edge_tables[rel].tails(horizon)
-        if len(tails) == 0:
-            continue
-        keep = np.ones(len(tails), dtype=bool)
-        for node in path.nodes:
-            keep &= tails != np.uint64(node)
-        if not keep.any():
-            continue
-        tails = tails[keep]
-        extended = composite + store.relation_embeddings[rel]
-        emb_t, found = store.gather_entity_embeddings(tails)
-        scores = _score_block(emb_t, found, extended, gamma)
-        if not found.all():
-            tails = tails[found]
-            scores = scores[found]
-            if len(tails) == 0:
-                continue
-        hits = tails == target_u
-        if hits.any():
-            done = path.extend(rel, target)
-            for s in scores[hits].tolist():
-                results.offer(ScoredPath(done, s))
-        rest = ~hits
-        if rest.any():
-            cand_tails.append(tails[rest])
-            cand_rels.append(np.full(int(rest.sum()), rel, dtype=np.int64))
-            cand_scores.append(scores[rest])
-
-    if not cand_tails:
+    path, composite = entry
+    views = [table.tails(path.end()) for table in store.edge_tables]
+    counts = [len(v) for v in views]
+    if not any(counts):
         return
-    tails_all = np.concatenate(cand_tails)
-    rels_all = np.concatenate(cand_rels)
-    scores_all = np.concatenate(cand_scores)
-    order = np.lexsort((tails_all, rels_all, -scores_all))
-    for idx in order[: min(k, len(order))].tolist():
-        next_frontier.append(path.extend(int(rels_all[idx]), int(tails_all[idx])))
+    tails = np.concatenate(views)
+    rels = np.repeat(np.arange(len(views)), counts)
+    keep = np.ones(len(tails), dtype=bool)
+    for node in path.nodes:
+        keep &= tails != np.uint64(node)
+    tails, rels = tails[keep], rels[keep]
+    emb_t, found = store.gather_entity_embeddings(tails)
+    ext = composite + store.relation_embeddings[rels]
+    scores = _score_block(emb_t, found, ext.T, gamma)
+    tails, rels, ext, scores = tails[found], rels[found], ext[found], scores[found]
+
+    hits = tails == np.uint64(target)
+    for rel, s in zip(rels[hits].tolist(), scores[hits].tolist()):
+        results.offer(ScoredPath(path.extend(rel, target), s))
+    rest = np.flatnonzero(~hits)
+    best = rest[np.lexsort((tails[rest], rels[rest], -scores[rest]))[:k]]
+    for i, rel, tail in zip(best.tolist(), rels[best].tolist(), tails[best].tolist()):
+        next_frontier.append((path.extend(rel, tail), ext[i]))
 
 
 def multihop_reasoning_generic(
@@ -219,16 +190,17 @@ def multihop_reasoning_generic(
     require_entity_ids(source, target)
     if source == target:
         return []
-    if store.entity_embedding(source) is None:
+    src = store.entity_embedding(source)
+    if src is None:
         raise QueryError(f"source entity {source} has no embedding")
 
     results = SharedResults(k)
-    frontier: list[Path] = [Path.start(source)]
+    frontier: list[tuple[Path, np.ndarray]] = [(Path.start(source), src)]
     for _level in range(num_hops):
         if not frontier:
             break
         w_eff = max(1, min(workers, len(frontier)))
-        buffers: list[list[Path]] = [[] for _ in range(w_eff)]
+        buffers: list[list] = [[] for _ in range(w_eff)]
         gang = WorkerGang(w_eff)
         current = frontier
 
@@ -240,6 +212,6 @@ def multihop_reasoning_generic(
 
         with span(trace, "level"):
             gang.run(work)
-            frontier = [p for buf in buffers for p in buf]
+            frontier = [entry for buf in buffers for entry in buf]
             count(trace, "frontier", len(frontier))
     return results.drain_sorted()

@@ -38,6 +38,7 @@ from .errors import (
     ParseError,
     QueryError,
     RelationRangeError,
+    shown,
 )
 
 U64_MAX = 2**64 - 1
@@ -57,12 +58,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 _EMPTY_U64 = _frozen(np.empty(0, dtype=np.uint64))
 
 
+def require_id(value, what: str = "entity id") -> None:
+    """QueryError unless value is an int or numpy integer, not a bool, in 0..2**64-1."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and 0 <= value <= U64_MAX):
+        raise QueryError(f"{what} {shown(value)} is not an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class EntitySet:
     """Deduplicated, ascending-sorted, read-only entity ids.
 
-    An id that is not an integer in 0..2**64-1 is a QueryError. Checked
-    per element, so ids above 2**63 are not rounded through float64.
+    Every id must pass require_id. Checked per element, so ids
+    above 2**63 are not rounded through float64.
     """
 
     ids: np.ndarray
@@ -72,8 +80,7 @@ class EntitySet:
         if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "u"):
             ids = np.asarray(ids, dtype=object).ravel().tolist()
             for v in ids:
-                if not isinstance(v, (int, np.integer)) or not 0 <= v <= U64_MAX:
-                    raise QueryError(f"entity id {v!r} is not an unsigned 64-bit integer")
+                require_id(v)
         norm = np.unique(np.asarray(ids, dtype=np.uint64))
         object.__setattr__(self, "ids", _frozen(norm))
 

@@ -13,7 +13,7 @@ bit-identical to the engines' kernels, so comparisons are exact.
 from __future__ import annotations
 
 from .errors import ArgumentError, QueryError
-from .kgstore import KGStore
+from .kgstore import KGStore, require_id
 from .generic import Path, ScoredPath, require_entity_ids, total_frontier_capacity
 from .pipeline import (
     STAGE_HOP1,
@@ -54,6 +54,7 @@ def _score_against(store: KGStore, composite: list[float], eid: int, gamma: floa
 
 
 def _composite(store: KGStore, eid: int, rel: int, what: str) -> list[float]:
+    require_id(eid, what)
     emb = store.entity_embedding(eid)
     if emb is None:
         raise QueryError(f"{what}={eid} has no embedding")

@@ -22,8 +22,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .errors import ArgumentError, QueryError
-from .kgstore import EntitySet, KGStore, extract_entities
+from .errors import ArgumentError, QueryError, shown
+from .kgstore import EntitySet, KGStore, extract_entities, require_id
 from .parallel import WorkerGang, block_bounds
 from .scoring import (
     embedding_aggregation,
@@ -47,6 +47,12 @@ MODES = ("simple", "optimized")
 
 @dataclass(frozen=True)
 class ThreeHopQuery:
+    """One award -> field -> affiliation query.
+
+    Relation ids pass kgstore.require_id and k is an integer >= 1 when it
+    is built; the anchors pass require_id where a query first uses them.
+    """
+
     anchor1: int
     rel1: int
     anchor2: int
@@ -56,8 +62,10 @@ class ThreeHopQuery:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ArgumentError(f"k must be >= 1, got {self.k}")
+        for name in ("rel1", "rel2", "rel3"):
+            require_id(getattr(self, name), name)
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ArgumentError(f"k must be an integer >= 1, got {shown(self.k)}")
         require_finite_gamma(self.gamma)
 
 
@@ -112,6 +120,7 @@ def _require_relation(store: KGStore, rid: int, name: str) -> None:
 
 
 def _require_anchor(store: KGStore, eid: int, name: str):
+    require_id(eid, name)
     emb = store.entity_embedding(eid)
     if emb is None:
         raise QueryError(f"{name}={eid} has no embedding")

@@ -3,8 +3,8 @@
 Scoring has one definition and two realizations that are bit-identical:
 
 * transe_score    scalar kernel, plain Python accumulation
-* _score_block    vectorized kernel: one (dim,) composite against a
-                  transposed (dim, n) embedding block
+* _score_block    vectorized kernel: a (dim,) composite, or one composite
+                  per column, against a transposed (dim, n) embedding block
 
 Both accumulate the L1 sum in ascending index order, so a score never
 depends on which code path (or worker chunk) computed it. That makes
@@ -71,11 +71,13 @@ def transe_score(composite, t_emb, gamma: float = 1.0) -> float:
 def _score_block(
     emb_t: np.ndarray, found: np.ndarray, comp: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """(n,) scores of one (dim,) composite against a transposed (dim, n) block.
+    """(n,) scores of a composite against a transposed (dim, n) block.
 
-    Walks the dimensions in ascending order (one contiguous row of the
-    block per step), so every element is accumulated in exactly the
-    scalar kernel's order. Columns whose embedding is missing score -inf.
+    comp is one (dim,) composite shared by every column, or a (dim, n)
+    block holding column i's own composite in column i. Walks the
+    dimensions in ascending order (one row of the block per step), so
+    every element is accumulated in exactly the scalar kernel's order.
+    Columns whose embedding is missing score -inf.
     """
     acc = np.abs(emb_t[0] - comp[0])
     if len(emb_t) > 1:

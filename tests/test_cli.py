@@ -1,10 +1,13 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kghop
 from kghop import cli
 from kghop.bench import BenchSpec
 from kghop.cli import main
@@ -149,6 +152,18 @@ class TestPathq:
         assert err.startswith("kghop: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["optimized", "oracle"])
+    def test_huge_hops_fail_cleanly(self, chain_dir, capsys, mode):
+        # the frontier capacity 50**99999 is rejected without being formed or printed
+        rc, out, err = run_cli(capsys, [
+            "pathq", "--data", str(chain_dir), "--source", "0", "--target", "3",
+            "--hops", "100000", "--mode", mode,
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("kghop: error:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["+7", "+0", "\u0663", " 0 ", "1_0", str(2**64)])
     def test_source_outside_the_id_grammar_fails_cleanly(self, chain_dir, capsys, value):
         # not ASCII digits (or above 2**64 - 1) and not a label: no id is guessed
@@ -280,11 +295,15 @@ class TestUsageErrors:
 
     def test_console_script_invocable(self, tmp_path):
         out = tmp_path / "d"
+        # the child imports kghop from where this process found it
+        src = str(Path(kghop.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "kghop.cli", "gen", "--out", str(out),
              "--entities", "120", "--persons", "20", "--universities", "10",
              "--edges", "60"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert (out / "edges.tsv").exists()

@@ -8,7 +8,6 @@ from kghop.generic import (
     Path,
     expand_path,
     multihop_reasoning_generic,
-    path_composite_embedding,
     total_frontier_capacity,
 )
 from kghop.oracle import oracle_beam_paths
@@ -41,6 +40,15 @@ class TestFrontierCapacity:
         with pytest.raises(CapacityError):
             total_frontier_capacity(2**40, 4)
 
+    @pytest.mark.parametrize(
+        "k, hops",
+        [(50, 100_000), (2, 66), (10**5000, 3)],
+        ids=["hops-100000", "hops-66", "k-10**5000"],
+    )
+    def test_huge_capacity_rejected_without_forming_or_printing_it(self, k, hops):
+        with pytest.raises(CapacityError, match="64-bit range"):
+            total_frontier_capacity(k, hops)
+
 
 class TestPathType:
     def test_interleaved_key(self):
@@ -55,43 +63,58 @@ class TestPathType:
         assert p.nodes == (4, 7) and p.relations == (2,)
 
 
+def entry(store, path):
+    """A frontier entry for a source-only path: the path and its source's embedding."""
+    return path, store.entity_embedding(path.nodes[0])
+
+
+def expand_all(store, entries, target, k=5):
+    """Expand each entry by one hop; the children, in frontier order."""
+    children, results = [], TopKSelector(k)
+    for e in entries:
+        expand_path(e, children, store, target=target, k=k, results=results)
+    return children
+
+
 class TestPathComposite:
+    """Each child carries its parent's composite plus its relation's embedding."""
+
     def store(self):
         rng = np.random.default_rng(21)
         embs = {i: rng.normal(0, 1, 3) for i in range(5)}
         rels = rng.normal(0, 1, (4, 3))
-        return make_store(3, 4, [], embs, rels), embs, rels
+        triples = [(0, 3, 1), (1, 1, 2), (0, 1, 4), (4, 3, 2)]
+        return make_store(3, 4, triples, embs, rels), embs, rels
 
     def test_single_node_is_source_embedding(self):
-        store, embs, _ = self.store()
-        comp = path_composite_embedding(Path.start(2), store)
-        assert np.array_equal(comp, embs[2])
-        comp[0] = 999.0  # returned vector is a copy, store unchanged
-        assert store.entity_embedding(2)[0] != 999.0
+        store, embs, rels = self.store()
+        src = store.entity_embedding(0).copy()
+        children = dict(expand_all(store, [entry(store, Path.start(0))], target=9))
+        assert np.array_equal(children[Path((0, 1), (3,))], embs[0] + rels[3])
+        assert np.array_equal(children[Path((0, 4), (1,))], embs[0] + rels[1])
+        assert np.array_equal(store.entity_embedding(0), src)  # the store is unchanged
 
     def test_chained_relations(self):
         store, embs, rels = self.store()
-        comp = path_composite_embedding(Path((0, 1, 2), (3, 1)), store)
+        level1 = expand_all(store, [entry(store, Path.start(0))], target=9)
+        level2 = dict(expand_all(store, level1, target=9))
         expected = (embs[0] + rels[3]) + rels[1]
-        assert np.array_equal(comp, expected)
+        assert np.array_equal(level2[Path((0, 1, 2), (3, 1))], expected)
 
     def test_relation_multiset_commutes(self):
         store, _, _ = self.store()
-        a = path_composite_embedding(Path((0, 1, 2), (3, 1)), store)
-        b = path_composite_embedding(Path((0, 4, 2), (1, 3)), store)
+        level1 = expand_all(store, [entry(store, Path.start(0))], target=9)
+        level2 = dict(expand_all(store, level1, target=9))
+        a = level2[Path((0, 1, 2), (3, 1))]
+        b = level2[Path((0, 4, 2), (1, 3))]
         assert np.allclose(a, b, atol=1e-12)
-
-    def test_missing_source_rejected(self):
-        store, _, _ = self.store()
-        with pytest.raises(QueryError):
-            path_composite_embedding(Path.start(77), store)
 
 
 class TestExpandPath:
     def test_no_out_edges_is_noop(self):
         store = make_store(2, 1, [(1, 0, 2)], {0: [0.0, 0.0], 1: [0.0, 0.0], 2: [0.0, 0.0]}, [[0.0, 0.0]])
         frontier, results = [], TopKSelector(3)
-        expand_path(Path.start(0), frontier, store, target=2, k=3, results=results)
+        expand_path(entry(store, Path.start(0)), frontier, store, target=2, k=3, results=results)
         assert frontier == [] and len(results) == 0
 
     def test_star_with_planted_target(self):
@@ -102,7 +125,7 @@ class TestExpandPath:
         triples = [(0, 0, 1), (0, 0, 2), (0, 0, 9)]
         store = make_store(2, 1, triples, embs, rel)
         frontier, results = [], TopKSelector(5)
-        expand_path(Path.start(0), frontier, store, target=9, k=1, results=results)
+        expand_path(entry(store, Path.start(0)), frontier, store, target=9, k=1, results=results)
         done = results.sorted_items()
         assert len(done) == 1
         assert done[0].score == 1.0
@@ -114,7 +137,7 @@ class TestExpandPath:
         store = random_graph_store(rng, n_nodes=100, n_rels=3, n_edges=400, dim=4)
         parent = Path.start(17)
         frontier, results = [], TopKSelector(3)
-        expand_path(parent, frontier, store, target=55, k=3, results=results)
+        expand_path(entry(store, parent), frontier, store, target=55, k=3, results=results)
 
         comp = store.entity_embedding(17).tolist()
         children = []
@@ -131,23 +154,25 @@ class TestExpandPath:
                 children.append((1.0 - total, rel, tail))
         children.sort(key=lambda c: (-c[0], c[1], c[2]))
         expected = [Path((17, t), (r,)) for _, r, t in children[:3]]
-        assert frontier == expected
+        assert [p for p, _ in frontier] == expected
 
     def test_cycle_neighbors_skipped(self):
         embs = {i: [float(i), 0.0] for i in range(4)}
         triples = [(0, 0, 1), (1, 0, 0), (1, 0, 2)]
         store = make_store(2, 1, triples, embs, [[0.0, 0.0]])
         frontier, results = [], TopKSelector(5)
-        expand_path(Path((0, 1), (0,)), frontier, store, target=3, k=5, results=results)
-        assert frontier == [Path((0, 1, 2), (0, 0))]  # back-edge to 0 skipped
+        composite = store.entity_embedding(0) + store.relation_embedding(0)
+        parent = (Path((0, 1), (0,)), composite)
+        expand_path(parent, frontier, store, target=3, k=5, results=results)
+        assert [p for p, _ in frontier] == [Path((0, 1, 2), (0, 0))]  # back-edge to 0 skipped
 
     def test_missing_embedding_neighbor_skipped(self):
         embs = {0: [0.0, 0.0], 1: [1.0, 1.0]}  # node 2 has no embedding
         triples = [(0, 0, 1), (0, 0, 2)]
         store = make_store(2, 1, triples, embs, [[0.0, 0.0]])
         frontier, results = [], TopKSelector(5)
-        expand_path(Path.start(0), frontier, store, target=9, k=5, results=results)
-        assert frontier == [Path((0, 1), (0,))]
+        expand_path(entry(store, Path.start(0)), frontier, store, target=9, k=5, results=results)
+        assert [p for p, _ in frontier] == [Path((0, 1), (0,))]
 
 
 class TestGenericSearch:
@@ -174,6 +199,15 @@ class TestGenericSearch:
             with pytest.raises(QueryError):
                 multihop_reasoning_generic(store, source, target, 2, 3)
             with pytest.raises(QueryError):
+                oracle_beam_paths(store, source, target, 2, 3)
+
+    @pytest.mark.parametrize("bad", [0.0, 67.0, True, np.float64(1.0), "0"])
+    def test_non_integer_ids_are_query_errors(self, bad):
+        store = make_store(2, 1, [(0, 0, 1)], {0: [0.0, 0.0], 1: [0.0, 0.0]}, [[0.0, 0.0]])
+        for source, target in ((0, bad), (bad, 1)):
+            with pytest.raises(QueryError, match="unsigned 64-bit"):
+                multihop_reasoning_generic(store, source, target, 2, 3)
+            with pytest.raises(QueryError, match="unsigned 64-bit"):
                 oracle_beam_paths(store, source, target, 2, 3)
 
     @pytest.mark.parametrize("seed", range(8))

@@ -214,10 +214,17 @@ class TestExtractEntities:
 
     @pytest.mark.parametrize(
         "raw",
-        [[1.5, 3], [-1, 3], [2**64], [3.0], ["3"], np.array([-1, 3]), np.array([2.0])],
-        ids=["1.5", "-1", "2**64", "3.0", "str", "int64-array--1", "float64-array"],
+        [[1.5, 3], [-1, 3], [2**64], [3.0], ["3"], np.array([-1, 3]), np.array([2.0]), [10**5000]],
+        ids=["1.5", "-1", "2**64", "3.0", "str", "int64-array--1", "float64-array", "10**5000"],
     )
     def test_entity_set_rejects_ids_outside_u64(self, raw):
+        with pytest.raises(QueryError, match="unsigned 64-bit"):
+            EntitySet(ids=raw)
+
+    @pytest.mark.parametrize(
+        "raw", [[True, 3], [False], np.array([True, False])], ids=["True", "False", "bool-array"]
+    )
+    def test_entity_set_rejects_bools(self, raw):
         with pytest.raises(QueryError, match="unsigned 64-bit"):
             EntitySet(ids=raw)
 

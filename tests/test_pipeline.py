@@ -1,5 +1,6 @@
 """Three-hop query: mode equivalence, hop semantics, rendering."""
 
+import functools
 import math
 
 import pytest
@@ -365,6 +366,19 @@ class TestDegenerateStores:
                     three_hop_query(store, q, mode=mode)
             with pytest.raises(QueryError):
                 oracle_three_hop(store, q)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(anchor1=100.0), dict(anchor2=True), dict(rel1=0.0), dict(rel3="2"),
+         dict(k=3.5), dict(k=True)],
+        ids=["anchor1-float", "anchor2-bool", "rel1-float", "rel3-str", "k-float", "k-bool"],
+    )
+    def test_non_integer_query_fields_are_kghop_errors(self, bad):
+        store, query = planted_instance()
+        simple = functools.partial(three_hop_query, mode="simple")
+        for engine in (three_hop_query, simple, oracle_three_hop):
+            with pytest.raises((ArgumentError, QueryError)):
+                engine(store, ThreeHopQuery(**{**query.__dict__, **bad}))
 
     def test_seal_is_idempotent(self):
         store, query = planted_instance()

@@ -110,6 +110,11 @@ class TestBlockKernel:
         assert batch.shape == (n,)
         for i in range(n):
             assert batch[i] == transe_score(comp, block[i], gamma=0.25)
+        # one composite per column, passed transposed as the generic engine does
+        comps = rng.normal(0, 1, (n, dim))
+        per_column = _score_block(emb_t, found, comps.T, gamma=0.25)
+        for i in range(n):
+            assert per_column[i] == _score_block(emb_t, found, comps[i], gamma=0.25)[i]
 
     def test_missing_rows_get_neg_inf(self):
         emb_t = np.zeros((2, 3))
