@@ -40,16 +40,16 @@ class CompletenessError(KghopError):
     """Relation embeddings do not cover exactly 0..num_relations-1."""
 
 
-class RelationRangeError(KghopError):
-    """A relation id falls outside 0..num_relations-1."""
-
-
 class ArgumentError(KghopError):
     """Invalid argument to a library operation."""
 
 
 class QueryError(KghopError):
     """A query references an unknown anchor, relation, or entity."""
+
+
+class RelationRangeError(QueryError):
+    """A relation id falls outside 0..num_relations-1."""
 
 
 class CapacityError(KghopError):

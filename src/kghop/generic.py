@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, QueryError, shown
-from .kgstore import KGStore, require_id
+from .errors import CapacityError, QueryError, shown
+from .kgstore import KGStore, require_count, require_id
 from .parallel import WorkerGang, block_bounds
 from .scoring import _score_block, require_finite_gamma
 from .topk import TopKSelector
@@ -92,10 +92,8 @@ def total_frontier_capacity(k: int, num_hops: int) -> int:
     is reserved from it: a capacity beyond a 64-bit signed integer is a
     CapacityError.
     """
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {shown(k)}")
-    if num_hops < 1:
-        raise ArgumentError(f"num_hops must be >= 1, got {shown(num_hops)}")
+    k = require_count(k, "k")
+    num_hops = require_count(num_hops, "num_hops")
     if k == 1:
         capacity = num_hops - 1
     else:
@@ -181,10 +179,7 @@ def multihop_reasoning_generic(
     count. When given, `trace` receives one `level` span per expanded
     level, counting the paths it leaves for the next level as `frontier`.
     """
-    if num_hops < 1:
-        raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
-    if workers < 1:
-        raise ArgumentError(f"workers must be >= 1, got {workers}")
+    workers = require_count(workers, "workers")
     require_finite_gamma(gamma)
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
@@ -199,7 +194,7 @@ def multihop_reasoning_generic(
     for _level in range(num_hops):
         if not frontier:
             break
-        w_eff = max(1, min(workers, len(frontier)))
+        w_eff = min(workers, len(frontier))
         buffers: list[list] = [[] for _ in range(w_eff)]
         gang = WorkerGang(w_eff)
         current = frontier

@@ -58,31 +58,45 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 _EMPTY_U64 = _frozen(np.empty(0, dtype=np.uint64))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_id(value, what: str = "entity id") -> None:
     """QueryError unless value is an int or numpy integer, not a bool, in 0..2**64-1."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_int and 0 <= value <= U64_MAX):
+    if not (_is_int(value) and 0 <= value <= U64_MAX):
         raise QueryError(f"{what} {shown(value)} is not an unsigned 64-bit integer")
+
+
+def require_count(value, name: str) -> int:
+    """int(value); ArgumentError unless value is an int or numpy integer, not a bool, >= 1."""
+    if not (_is_int(value) and value >= 1):
+        raise ArgumentError(f"{name} must be an integer >= 1, got {shown(value)}")
+    return int(value)
+
+
+def _u64_ids(ids, what: str = "entity id") -> np.ndarray:
+    """ids as a uint64 array of the same shape; every id must pass require_id.
+
+    An unsigned array passes unchanged. Anything else is checked per
+    element, so ids above 2**63 are not rounded through float64.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "u":
+        return ids.astype(np.uint64, copy=False)
+    ids = np.asarray(ids, dtype=object)
+    for v in ids.ravel().tolist():
+        require_id(v, what)
+    return ids.astype(np.uint64)
 
 
 @dataclass(frozen=True)
 class EntitySet:
-    """Deduplicated, ascending-sorted, read-only entity ids.
-
-    Every id must pass require_id. Checked per element, so ids
-    above 2**63 are not rounded through float64.
-    """
+    """Deduplicated, ascending-sorted, read-only entity ids; each passes require_id."""
 
     ids: np.ndarray
 
     def __post_init__(self):
-        ids = self.ids
-        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "u"):
-            ids = np.asarray(ids, dtype=object).ravel().tolist()
-            for v in ids:
-                require_id(v)
-        norm = np.unique(np.asarray(ids, dtype=np.uint64))
-        object.__setattr__(self, "ids", _frozen(norm))
+        object.__setattr__(self, "ids", _frozen(np.unique(_u64_ids(self.ids))))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -187,8 +201,7 @@ def _parse_vectors(stream: Iterable[str], dim: int) -> tuple[np.ndarray, np.ndar
 
     The first non-finite component raises EmbeddingValueError naming its line.
     """
-    if dim < 1:
-        raise ArgumentError("dim must be >= 1")
+    dim = require_count(dim, "dim")
     ids, values, line_nos = array("Q"), array("d"), array("Q")
     for line_no, raw in enumerate(stream, 1):
         line = raw.rstrip("\n")
@@ -301,12 +314,15 @@ class KGStore:
         self.dim = rel_emb.shape[1]
         self.relation_embeddings = _frozen(rel_emb)
 
-        ids = np.asarray(entity_ids, dtype=np.uint64)
+        ids = _u64_ids(entity_ids)
         matrix = np.asarray(entity_matrix, dtype=np.float64)
         if ids.ndim != 1 or matrix.shape != (len(ids), self.dim):
             raise DimensionError(
                 f"{ids.shape} entity ids need a ({len(ids)}, {self.dim}) matrix, got {matrix.shape}"
             )
+        for what, emb in (("entity", matrix), ("relation", rel_emb)):
+            if not np.isfinite(emb).all():
+                raise EmbeddingValueError(f"{what} embeddings hold a non-finite component")
         row = _first_repeat(ids)
         if row is not None:
             raise DuplicateIdError(f"duplicate entity id {ids[row]}")
@@ -316,16 +332,16 @@ class KGStore:
         self._ent_matrix = _frozen(matrix[order])
         self._rows = dict(zip(ids.tolist(), range(len(ids))))
 
-        heads, rels, tails = (np.asarray(a, dtype=np.uint64) for a in (heads, rels, tails))
+        heads, rels, tails = (
+            _u64_ids(a, what)
+            for a, what in ((heads, "head id"), (rels, "relation id"), (tails, "tail id"))
+        )
         if not (heads.ndim == rels.ndim == tails.ndim == 1 and len(heads) == len(rels) == len(tails)):
             raise ArgumentError("heads, rels and tails must be 1-D arrays of one length")
-        num_relations = len(rel_emb)
-        if len(rels) and int(rels.max()) >= num_relations:
-            raise RelationRangeError(
-                f"relation {int(rels.max())} out of range [0, {num_relations})"
-            )
+        if len(rels):
+            self.require_relation(int(rels.max()))
         by_rel = np.argsort(rels, kind="stable")
-        bounds = np.searchsorted(rels[by_rel], np.arange(num_relations + 1)).tolist()
+        bounds = np.searchsorted(rels[by_rel], np.arange(self.num_relations + 1)).tolist()
         self.edge_tables = [
             EdgeTable(r, heads[by_rel[lo:hi]], tails[by_rel[lo:hi]])
             for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
@@ -333,7 +349,14 @@ class KGStore:
 
     @property
     def num_relations(self) -> int:
-        return len(self.edge_tables)
+        return len(self.relation_embeddings)
+
+    def require_relation(self, relation_id, name: str = "relation") -> None:
+        """RelationRangeError unless relation_id is a non-bool integer in 0..num_relations-1."""
+        if not (_is_int(relation_id) and 0 <= relation_id < self.num_relations):
+            raise RelationRangeError(
+                f"{name} {shown(relation_id)} is not a relation id in [0, {self.num_relations})"
+            )
 
     def entity_embedding(self, entity_id: int) -> np.ndarray | None:
         """Read-only embedding row of entity_id, or None if it has none."""
@@ -341,17 +364,11 @@ class KGStore:
         return None if row is None else self._ent_matrix[row]
 
     def relation_embedding(self, relation_id: int) -> np.ndarray:
-        if not (0 <= relation_id < self.num_relations):
-            raise RelationRangeError(
-                f"relation {relation_id} out of range [0, {self.num_relations})"
-            )
+        self.require_relation(relation_id)
         return self.relation_embeddings[relation_id]
 
     def edge_table(self, relation_id: int) -> EdgeTable:
-        if not (0 <= relation_id < self.num_relations):
-            raise RelationRangeError(
-                f"relation {relation_id} out of range [0, {self.num_relations})"
-            )
+        self.require_relation(relation_id)
         return self.edge_tables[relation_id]
 
     def gather_entity_embeddings(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,15 @@ and truncated. These functions back the test suite and the CLI's
 `--mode oracle`; any divergence between an engine and its oracle is an
 engine bug by construction.
 
-Scoring uses explicit Python loops in ascending index order, which is
-bit-identical to the engines' kernels, so comparisons are exact.
+Scoring uses the scalar kernel scoring.transe_score, a plain Python
+loop in ascending index order, which is bit-identical to the engines'
+block kernel, so comparisons are exact.
 """
 
 from __future__ import annotations
 
-from .errors import ArgumentError, QueryError
-from .kgstore import KGStore, require_id
+from .errors import QueryError
+from .kgstore import KGStore, require_count, require_id
 from .generic import Path, ScoredPath, require_entity_ids, total_frontier_capacity
 from .pipeline import (
     STAGE_HOP1,
@@ -23,15 +24,14 @@ from .pipeline import (
     AffiliationResult,
     ThreeHopQuery,
 )
-from .scoring import require_finite_gamma
+from .scoring import require_finite_gamma, transe_score
 from .topk import NEG_INF, ScoredEntity
 from .trace import Trace, span
 
 
 def oracle_topk(items, k: int) -> list[ScoredEntity]:
     """Sort everything by (score desc, id asc), truncate to k."""
-    if k < 0:
-        raise ArgumentError(f"k must be >= 0, got {k}")
+    k = require_count(k, "k")
     ranked = sorted(items, key=lambda it: (-it.score, it.entity))
     return ranked[:k]
 
@@ -45,12 +45,7 @@ def _tail_ids(store: KGStore, rel: int) -> list[int]:
 
 def _score_against(store: KGStore, composite: list[float], eid: int, gamma: float) -> float:
     emb = store.entity_embedding(eid)
-    if emb is None:
-        return NEG_INF
-    total = 0.0
-    for a, b in zip(composite, emb.tolist()):
-        total += abs(a - b)
-    return gamma - total
+    return NEG_INF if emb is None else transe_score(composite, emb, gamma)
 
 
 def _composite(store: KGStore, eid: int, rel: int, what: str) -> list[float]:
@@ -75,9 +70,8 @@ def oracle_three_hop(
     Records into `trace` the same STAGE_TOTAL and per-hop spans as
     three_hop_query.
     """
-    for rid, name in ((q.rel1, "rel1"), (q.rel2, "rel2"), (q.rel3, "rel3")):
-        if not (0 <= rid < store.num_relations):
-            raise QueryError(f"{name}={rid} is not a relation of this store")
+    for name in ("rel1", "rel2", "rel3"):
+        store.require_relation(getattr(q, name), name)
 
     with span(trace, STAGE_TOTAL):
         persons = _tail_ids(store, q.rel1)
@@ -117,8 +111,6 @@ def oracle_beam_paths(
     per parent under (score desc, relation asc, tail asc). Completed
     paths collect in a plain list, sorted and truncated only at the end.
     """
-    if num_hops < 1:
-        raise ArgumentError(f"num_hops must be >= 1, got {num_hops}")
     require_finite_gamma(gamma)
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
@@ -147,10 +139,7 @@ def oracle_beam_paths(
                 temb = store.entity_embedding(tail)
                 if temb is None:
                     continue
-                total = 0.0
-                for a, b in zip(ext, temb.tolist()):
-                    total += abs(a - b)
-                score = gamma - total
+                score = transe_score(ext, temb, gamma)
                 if tail == target:
                     completed.append(
                         ScoredPath(Path(nodes + (tail,), rels + (rel,)), score)

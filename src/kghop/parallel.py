@@ -16,15 +16,13 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from .errors import ArgumentError
+from .kgstore import require_count
 
 
 class WorkerGang:
     def __init__(self, workers: int):
-        if workers < 1:
-            raise ArgumentError(f"worker count must be >= 1, got {workers}")
-        self.workers = workers
-        self.barrier = threading.Barrier(workers)
+        self.workers = require_count(workers, "workers")
+        self.barrier = threading.Barrier(self.workers)
 
     def run(self, fn: Callable[[int], None]) -> None:
         """Execute fn(worker_id) on every worker and join."""

@@ -1,11 +1,12 @@
 """The three-hop affiliation query, in two interchangeable implementations.
 
-`optimized` uses thread-private bounded selectors plus a tree (or locked)
-reduction. `simple` is the naive baseline a first implementation would
-use: every worker appends each (entity, score) pair to one shared list
-under a mutex, and the coordinator fully sorts the list per stage. Both
-modes share the scoring kernels and return identical results; they exist
-so benchmarks can quantify the data-structure difference honestly.
+`optimized` ranks each worker's candidate block into per-worker row
+rankings merged by the tree (or locked) collective. `simple` is the
+naive baseline a first implementation would use: every worker appends
+each (entity, score) pair to one shared list under a mutex, and the
+coordinator fully sorts the list per stage. Both modes share the
+scoring kernels and return identical results; they exist so benchmarks
+can quantify the data-structure difference honestly.
 
 Hop semantics:
   hop 1  score every person (tails of rel1) against emb(anchor1)+emb(rel1),
@@ -22,8 +23,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .errors import ArgumentError, QueryError, shown
-from .kgstore import EntitySet, KGStore, extract_entities, require_id
+from .errors import ArgumentError, QueryError
+from .kgstore import EntitySet, KGStore, extract_entities, require_count, require_id
 from .parallel import WorkerGang, block_bounds
 from .scoring import (
     embedding_aggregation,
@@ -49,8 +50,8 @@ MODES = ("simple", "optimized")
 class ThreeHopQuery:
     """One award -> field -> affiliation query.
 
-    Relation ids pass kgstore.require_id and k is an integer >= 1 when it
-    is built; the anchors pass require_id where a query first uses them.
+    k and gamma pass the count and gamma rules when it is built; the
+    anchors and relations are checked where a query first uses them.
     """
 
     anchor1: int
@@ -62,10 +63,7 @@ class ThreeHopQuery:
     gamma: float = 1.0
 
     def __post_init__(self):
-        for name in ("rel1", "rel2", "rel3"):
-            require_id(getattr(self, name), name)
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ArgumentError(f"k must be an integer >= 1, got {shown(self.k)}")
+        require_count(self.k, "k")
         require_finite_gamma(self.gamma)
 
 
@@ -114,11 +112,6 @@ def _require_engine(mode: str, merge: str) -> None:
     require_merge(merge)
 
 
-def _require_relation(store: KGStore, rid: int, name: str) -> None:
-    if not (0 <= rid < store.num_relations):
-        raise QueryError(f"{name}={rid} is not a relation of this store (have {store.num_relations})")
-
-
 def _require_anchor(store: KGStore, eid: int, name: str):
     require_id(eid, name)
     emb = store.entity_embedding(eid)
@@ -147,9 +140,10 @@ def _simple_topk_scan(
     ids = candidates.ids.tolist()
     shared: list[ScoredEntity] = []
     lock = threading.Lock()
+    gang = WorkerGang(workers)
 
     def work(wid: int) -> None:
-        lo, hi = block_bounds(len(ids), workers, wid)
+        lo, hi = block_bounds(len(ids), gang.workers, wid)
         for eid in ids[lo:hi]:
             emb = store.entity_embedding(eid)
             if emb is None:
@@ -160,7 +154,7 @@ def _simple_topk_scan(
                 shared.append(item)
 
     count(trace, "evals", len(ids))
-    WorkerGang(workers).run(work)
+    gang.run(work)
     shared.sort(key=lambda it: it.order_key())
     return shared[:k]
 
@@ -190,9 +184,9 @@ def rescore_with_relation(
     in the new score order (ties by ascending id).
     """
     _require_engine(mode, merge)
+    k = require_count(k, "k")
     if len(persons) > k:
         raise ArgumentError(f"rescore got {len(persons)} persons for k={k}")
-    _require_relation(store, rel, "rel")
     emb = _require_anchor(store, anchor, "anchor")
     composite = embedding_aggregation(emb, store.relation_embedding(rel))
     candidates = EntitySet(ids=np.array([p.entity for p in persons], dtype=np.uint64))
@@ -214,10 +208,9 @@ def three_hop_query(
     candidate scorings it made as `evals`.
     """
     _require_engine(mode, merge)
-    if workers < 1:
-        raise ArgumentError(f"workers must be >= 1, got {workers}")
-    for rid, name in ((q.rel1, "rel1"), (q.rel2, "rel2"), (q.rel3, "rel3")):
-        _require_relation(store, rid, name)
+    workers = require_count(workers, "workers")
+    for name in ("rel1", "rel2", "rel3"):
+        store.require_relation(getattr(q, name), name)
     emb1 = _require_anchor(store, q.anchor1, "anchor1")
     _require_anchor(store, q.anchor2, "anchor2")
 

@@ -20,11 +20,12 @@ and the selection, where a (rows, n) score matrix would not.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
-from .kgstore import EntitySet, KGStore
+from .errors import ArgumentError, DimensionError, shown
+from .kgstore import EntitySet, KGStore, _is_int, require_count
 from .parallel import WorkerGang, block_bounds
 from .topk import (
     NEG_INF,
@@ -38,9 +39,13 @@ from .trace import Trace, count
 
 
 def require_finite_gamma(gamma: float) -> None:
-    """ArgumentError unless gamma is finite: an infinite or NaN gamma makes every score so."""
-    if not math.isfinite(gamma):
-        raise ArgumentError(f"gamma must be finite, got {gamma}")
+    """ArgumentError unless gamma is a finite float, or a non-bool int within the float range."""
+    if isinstance(gamma, (float, np.floating)):
+        finite = math.isfinite(gamma)
+    else:
+        finite = _is_int(gamma) and abs(gamma) <= sys.float_info.max
+    if not finite:
+        raise ArgumentError(f"gamma must be a finite real number, got {shown(gamma)}")
 
 
 def embedding_aggregation(h_emb, r_emb) -> np.ndarray:
@@ -55,8 +60,9 @@ def embedding_aggregation(h_emb, r_emb) -> np.ndarray:
 def transe_score(composite, t_emb, gamma: float = 1.0) -> float:
     """gamma minus the L1 distance between composite and candidate embeddings.
 
-    Accumulates |composite[j] - t_emb[j]| for j ascending; accepts numpy
-    vectors or plain sequences.
+    Accumulates |composite[j] - t_emb[j]| for j ascending and, as the
+    block kernel does, subtracts it from gamma as a float64; accepts
+    numpy vectors or plain sequences.
     """
     cs = composite.tolist() if isinstance(composite, np.ndarray) else composite
     ts = t_emb.tolist() if isinstance(t_emb, np.ndarray) else t_emb
@@ -65,7 +71,7 @@ def transe_score(composite, t_emb, gamma: float = 1.0) -> float:
     total = 0.0
     for a, b in zip(cs, ts):
         total += abs(a - b)
-    return gamma - total
+    return float(gamma) - total
 
 
 def _score_block(
@@ -154,8 +160,8 @@ def score_candidates_topk_many(
     are lists of ScoredEntity, best first, identical for any worker count
     and either merge. Counts candidates × composites as `evals` into `trace`.
     """
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
+    k = require_count(k, "k")
+    workers = require_count(workers, "workers")
     require_finite_gamma(gamma)
     require_merge(merge)
     live_idx = []

@@ -21,6 +21,7 @@ from bisect import insort
 from typing import Callable, NamedTuple
 
 from .errors import ArgumentError
+from .kgstore import require_count
 from .parallel import WorkerGang
 
 NEG_INF = float("-inf")
@@ -60,9 +61,7 @@ class TopKSelector:
     __slots__ = ("capacity", "_entries")
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ArgumentError(f"selector capacity must be >= 1, got {k}")
-        self.capacity = k
+        self.capacity = require_count(k, "k")
         self._entries: list[tuple] = []
 
     @classmethod

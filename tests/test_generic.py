@@ -36,6 +36,13 @@ class TestFrontierCapacity:
         with pytest.raises(ArgumentError):
             total_frontier_capacity(2, 0)
 
+    @pytest.mark.parametrize(
+        "k, hops", [(2.5, 3), (None, 3), (True, 3), (3, 2.0), (3, "3"), (np.float64(2.0), 3)]
+    )
+    def test_non_integer_counts_rejected(self, k, hops):
+        with pytest.raises(ArgumentError, match="must be an integer >= 1"):
+            total_frontier_capacity(k, hops)
+
     def test_overflow_rejected(self):
         with pytest.raises(CapacityError):
             total_frontier_capacity(2**40, 4)
@@ -209,6 +216,21 @@ class TestGenericSearch:
                 multihop_reasoning_generic(store, source, target, 2, 3)
             with pytest.raises(QueryError, match="unsigned 64-bit"):
                 oracle_beam_paths(store, source, target, 2, 3)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("k", 2.5), ("k", None), ("k", True), ("num_hops", 2.0), ("num_hops", None),
+         ("workers", 1.5), ("workers", True), ("workers", "2")],
+    )
+    def test_non_integer_counts_are_argument_errors(self, name, bad):
+        store = make_store(2, 1, [(0, 0, 1), (1, 0, 2)], {i: [0.0, 0.0] for i in range(3)},
+                           [[0.0, 0.0]])
+        args = {"num_hops": 2, "k": 2, name: bad}
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+            multihop_reasoning_generic(store, 0, 2, **args)
+        if name != "workers":
+            with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+                oracle_beam_paths(store, 0, 2, **args)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_engine_equals_beam_oracle(self, seed):

@@ -42,6 +42,18 @@ def edge_tables(lines, num_relations):
     return store.edge_tables
 
 
+def assert_every_store_id_array_rejects(raw):
+    """KGStore rejects raw as its entity, head, relation or tail ids by the id rule."""
+    n = len(raw)
+    with pytest.raises(QueryError, match="unsigned 64-bit"):
+        KGStore(raw, np.zeros((n, 1)), np.zeros((1, 1)), [], [], [])
+    for field in range(3):
+        edges = [[0] * n for _ in range(3)]
+        edges[field] = raw
+        with pytest.raises(QueryError, match="unsigned 64-bit"):
+            KGStore([], np.zeros((0, 1)), np.zeros((1, 1)), *edges)
+
+
 def table_dict(table):
     return {h: tails.tolist() for h, tails in table.items()}
 
@@ -105,6 +117,13 @@ class TestIngestEdges:
 
 
 class TestEntityEmbeddings:
+    @pytest.mark.parametrize("dim", [0, 2.0, None, True, "2"])
+    def test_dim_is_a_count(self, dim):
+        with pytest.raises(ArgumentError, match="dim must be an integer"):
+            load_entity_embeddings(["7\t0.5 0.5"], dim)
+        with pytest.raises(ArgumentError, match="dim must be an integer"):
+            load_relation_embeddings(["0\t0.5 0.5"], dim, 1)
+
     def test_single_line(self):
         ids, matrix = load_entity_embeddings(["7\t0.5 0.5"], dim=2)
         assert ids.tolist() == [7]
@@ -214,12 +233,15 @@ class TestExtractEntities:
 
     @pytest.mark.parametrize(
         "raw",
-        [[1.5, 3], [-1, 3], [2**64], [3.0], ["3"], np.array([-1, 3]), np.array([2.0]), [10**5000]],
-        ids=["1.5", "-1", "2**64", "3.0", "str", "int64-array--1", "float64-array", "10**5000"],
+        [[1.5, 3], [-1, 3], [2**64], [3.0], ["3"], np.array([-1, 3]), np.array([2.0]), [10**5000],
+         [0.5], [0.7]],
+        ids=["1.5", "-1", "2**64", "3.0", "str", "int64-array--1", "float64-array", "10**5000",
+             "0.5", "0.7"],
     )
     def test_entity_set_rejects_ids_outside_u64(self, raw):
         with pytest.raises(QueryError, match="unsigned 64-bit"):
             EntitySet(ids=raw)
+        assert_every_store_id_array_rejects(raw)
 
     @pytest.mark.parametrize(
         "raw", [[True, 3], [False], np.array([True, False])], ids=["True", "False", "bool-array"]
@@ -227,6 +249,7 @@ class TestExtractEntities:
     def test_entity_set_rejects_bools(self, raw):
         with pytest.raises(QueryError, match="unsigned 64-bit"):
             EntitySet(ids=raw)
+        assert_every_store_id_array_rejects(raw)
 
     def test_entity_set_keeps_ids_up_to_u64_max_exactly(self):
         es = EntitySet(ids=[2**64 - 1, 3, np.uint64(3), 0, 2**63 + 1])
@@ -291,6 +314,24 @@ class TestKGStore:
             store.relation_embedding(1)
         with pytest.raises(RelationRangeError):
             store.edge_table(-1)
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, 1.5, True, False, None, "0", np.float64(0.0), np.bool_(False), 2**64]
+    )
+    def test_relation_ids_are_non_bool_integers(self, bad):
+        store = make_store(2, 2, [], {0: [0.0, 0.0]}, [[0.0, 0.0], [0.0, 0.0]])
+        for lookup in (store.relation_embedding, store.edge_table, store.require_relation):
+            with pytest.raises(RelationRangeError, match="not a relation id"):
+                lookup(bad)
+        assert store.edge_table(np.uint8(1)).relation == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["entity", "relation"])
+    def test_non_finite_embedding_rejected(self, value, which):
+        ent, rel = np.zeros((2, 2)), np.zeros((1, 2))
+        (ent if which == "entity" else rel)[-1, 1] = value
+        with pytest.raises(EmbeddingValueError, match=f"{which} embeddings"):
+            KGStore([0, 1], ent, rel, [0], [0], [1])
 
     def test_edge_relation_out_of_range_rejected(self):
         with pytest.raises(RelationRangeError):

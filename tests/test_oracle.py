@@ -2,6 +2,9 @@
 
 import math
 
+import pytest
+
+from kghop.errors import ArgumentError
 from kghop.oracle import oracle_beam_paths, oracle_three_hop, oracle_topk
 from kghop.pipeline import ThreeHopQuery, three_hop_query
 from kghop.generic import Path
@@ -21,6 +24,11 @@ class TestOracleTopK:
     def test_k_at_least_length_returns_whole_sorted_list(self):
         items = [ScoredEntity(5, 1.0), ScoredEntity(4, 2.0)]
         assert oracle_topk(items, 10) == [ScoredEntity(4, 2.0), ScoredEntity(5, 1.0)]
+
+    @pytest.mark.parametrize("bad", [2.5, 0, True, None])
+    def test_k_is_a_count(self, bad):
+        with pytest.raises(ArgumentError, match="k must be an integer"):
+            oracle_topk([ScoredEntity(1, 0.0)], bad)
 
 
 def five_entity_instance():

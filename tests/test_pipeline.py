@@ -3,13 +3,17 @@
 import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kghop.errors import ArgumentError, QueryError
+from kghop.errors import ArgumentError, KghopError, QueryError
 from kghop.generator import GeneratorSpec, generate
-from kghop.generic import multihop_reasoning_generic
-from kghop.oracle import oracle_beam_paths, oracle_three_hop
+from kghop.generic import multihop_reasoning_generic, total_frontier_capacity
+from kghop.oracle import oracle_beam_paths, oracle_three_hop, oracle_topk
 from kghop.pipeline import (
+    MODES,
     STAGE_HOP1,
     STAGE_HOP2,
     STAGE_HOP3,
@@ -19,7 +23,8 @@ from kghop.pipeline import (
     rescore_with_relation,
     three_hop_query,
 )
-from kghop.topk import ScoredEntity
+from kghop.scoring import score_candidates_topk, score_candidates_topk_many
+from kghop.topk import ScoredEntity, TopKSelector, reduce_selectors
 from kghop.trace import Trace
 
 from helpers import make_store
@@ -321,7 +326,11 @@ class TestTrace:
         assert evals == {STAGE_TOTAL: 0, STAGE_HOP1: 4, STAGE_HOP2: 4, STAGE_HOP3: 3 * 3}
 
 
-@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "gamma",
+    [math.inf, -math.inf, math.nan, None, "x", True, 10**400],
+    ids=["inf", "-inf", "nan", "None", "str", "True", "10**400"],
+)
 def test_non_finite_gamma_rejected(gamma):
     store, query = planted_instance()
     persons = [ScoredEntity(1, 0.0), ScoredEntity(2, 0.0)]
@@ -331,6 +340,21 @@ def test_non_finite_gamma_rejected(gamma):
     for search in (multihop_reasoning_generic, oracle_beam_paths):
         with pytest.raises(ArgumentError, match="gamma"):
             search(store, query.anchor1, 10, 3, 2, gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [np.float32(0.1), np.int8(1), np.uint64(3), 2**64],
+    ids=["float32", "int8", "uint64", "2**64"],
+)
+def test_gamma_of_any_real_type_scores_as_the_oracles_do(gamma):
+    store, query = planted_instance()
+    q = ThreeHopQuery(**{**query.__dict__, "gamma": gamma})
+    expected = oracle_three_hop(store, q).machine_lines()
+    for mode in MODES:
+        assert three_hop_query(store, q, mode=mode).machine_lines() == expected
+    paths = multihop_reasoning_generic(store, q.anchor1, 10, 3, 2, gamma=gamma)
+    assert paths and repr(paths) == repr(oracle_beam_paths(store, q.anchor1, 10, 3, 2, gamma=gamma))
 
 
 class TestDegenerateStores:
@@ -370,8 +394,9 @@ class TestDegenerateStores:
     @pytest.mark.parametrize(
         "bad",
         [dict(anchor1=100.0), dict(anchor2=True), dict(rel1=0.0), dict(rel3="2"),
-         dict(k=3.5), dict(k=True)],
-        ids=["anchor1-float", "anchor2-bool", "rel1-float", "rel3-str", "k-float", "k-bool"],
+         dict(k=3.5), dict(k=True), dict(gamma=None), dict(gamma=True), dict(gamma="1")],
+        ids=["anchor1-float", "anchor2-bool", "rel1-float", "rel3-str", "k-float", "k-bool",
+             "gamma-None", "gamma-bool", "gamma-str"],
     )
     def test_non_integer_query_fields_are_kghop_errors(self, bad):
         store, query = planted_instance()
@@ -380,8 +405,92 @@ class TestDegenerateStores:
             with pytest.raises((ArgumentError, QueryError)):
                 engine(store, ThreeHopQuery(**{**query.__dict__, **bad}))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(workers=1.5), dict(workers="2"), dict(workers=None), dict(workers=True),
+         dict(k=2.5), dict(k="a"), dict(rel=0.0), dict(rel=True)],
+        ids=["workers-1.5", "workers-str", "workers-None", "workers-True",
+             "k-2.5", "k-str", "rel-0.0", "rel-True"],
+    )
+    def test_non_integer_call_arguments_are_kghop_errors(self, bad):
+        store, query = planted_instance()
+        persons = [ScoredEntity(1, 0.0), ScoredEntity(2, 0.0)]
+        args = {"rel": 1, "k": 2, "workers": 1, **bad}
+        for mode in ("simple", "optimized"):
+            with pytest.raises((ArgumentError, QueryError)):
+                rescore_with_relation(persons, query.anchor2, store=store, mode=mode, **args)
+            if "workers" in bad:
+                with pytest.raises(ArgumentError, match="workers must be an integer"):
+                    three_hop_query(store, query, mode=mode, workers=bad["workers"])
+
     def test_seal_is_idempotent(self):
         store, query = planted_instance()
         store.seal()
         store.seal()
         assert three_hop_query(store, query).ranked_persons
+
+
+NUMPY_SCALARS = [np.int8(3), np.int64(-2), np.int64(2), np.uint64(2**64 - 1), np.float64(2.0),
+                 np.float32(2.0), np.float32(np.nan), np.float32(np.inf), np.float64(np.inf),
+                 np.bool_(True)]
+HOSTILE = st.one_of(
+    st.floats(),
+    st.sampled_from([2.0, math.nan, math.inf, -math.inf, None, True, False, *NUMPY_SCALARS]),
+    st.text(max_size=3),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64, max_value=2**200),
+)
+# A valid worker count really starts that many threads, so no int above 4 is drawn.
+HOSTILE_WORKERS = st.one_of(
+    st.floats(),
+    st.sampled_from([None, True, False, 0, -1, 1, 2, 3, 4, np.int8(2), np.uint64(3),
+                     np.float64(2.0), np.bool_(True)]),
+    st.text(max_size=3),
+)
+
+
+def _three_hop_engines(store, **fields):
+    """Build a ThreeHopQuery from fields and run it in both modes and in the oracle."""
+    q = ThreeHopQuery(**fields)
+    for mode in MODES:
+        three_hop_query(store, q, mode=mode)
+    oracle_three_hop(store, q)
+
+
+def _entry_points(store, query):
+    """(function, valid keyword arguments, scalar parameters) of each public entry point."""
+    persons = [ScoredEntity(1, 0.0), ScoredEntity(2, 0.0)]
+    scorer = dict(candidates=[1, 2, 3, 10, 11], store=store, k=2)
+    search = dict(store=store, source=query.anchor1, target=10, num_hops=3, k=2)
+    return [
+        (three_hop_query, dict(store=store, q=query), ("mode", "workers", "merge")),
+        (_three_hop_engines, dict(store=store, **query.__dict__),
+         ("anchor1", "rel1", "anchor2", "rel2", "rel3", "k", "gamma")),
+        (rescore_with_relation,
+         dict(persons=persons, anchor=query.anchor2, rel=1, store=store, k=2),
+         ("anchor", "rel", "k", "workers", "mode", "merge", "gamma")),
+        (score_candidates_topk, dict(composite=np.zeros(4), **scorer),
+         ("k", "workers", "gamma", "merge")),
+        (score_candidates_topk_many, dict(composites=[np.zeros(4), None], **scorer),
+         ("k", "workers", "gamma", "merge")),
+        (multihop_reasoning_generic, search,
+         ("source", "target", "num_hops", "k", "workers", "gamma")),
+        (oracle_beam_paths, search, ("source", "target", "num_hops", "k", "gamma")),
+        (oracle_topk, dict(items=persons, k=2), ("k",)),
+        (TopKSelector, dict(k=2), ("k",)),
+        (reduce_selectors, dict(selectors=[TopKSelector(2)] * 2), ("strategy",)),
+        (total_frontier_capacity, dict(k=2, num_hops=3), ("k", "num_hops")),
+    ]
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_hostile_scalar_raises_a_kghop_error_or_returns(data):
+    store, query = planted_instance()
+    fn, kwargs, params = data.draw(st.sampled_from(_entry_points(store, query)), label="entry")
+    param = data.draw(st.sampled_from(params), label="parameter")
+    value = data.draw(HOSTILE_WORKERS if param == "workers" else HOSTILE, label="value")
+    try:
+        fn(**{**kwargs, param: value})
+    except KghopError:
+        pass

@@ -392,14 +392,35 @@ class TestScorerInputs:
             (np.zeros(2), np.inf, "gamma"),
             (np.zeros(2), -np.inf, "gamma"),
             (np.zeros(2), np.nan, "gamma"),
+            (np.zeros(2), None, "gamma"),
+            (np.zeros(2), "x", "gamma"),
+            (np.zeros(2), True, "gamma"),
+            (np.zeros(2), 10**400, "gamma"),
+            (np.zeros(2), np.float32(np.inf), "gamma"),
         ],
-        ids=["nan-comp", "inf-comp", "neg-inf-comp", "inf-gamma", "neg-inf-gamma", "nan-gamma"],
+        ids=["nan-comp", "inf-comp", "neg-inf-comp", "inf-gamma", "neg-inf-gamma", "nan-gamma",
+             "None-gamma", "str-gamma", "bool-gamma", "huge-int-gamma", "float32-inf-gamma"],
     )
     def test_non_finite_composite_or_gamma_rejected(self, bad, gamma, match):
         store = make_store(2, 1, [], {i: [float(i), 0.0] for i in range(30)}, [[0.0, 0.0]])
         cands = EntitySet(ids=np.arange(30, dtype=np.uint64))
         with pytest.raises(ArgumentError, match=match):
             score_candidates_topk_many([np.zeros(2), bad], cands, store, 3, gamma=gamma)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("k", 2.5), ("k", None), ("k", True), ("k", 0), ("workers", 1.5), ("workers", None),
+         ("workers", np.float64(2.0)), ("workers", 0)],
+    )
+    def test_non_integer_counts_rejected(self, name, bad):
+        store = make_store(2, 1, [], {i: [float(i), 0.0] for i in range(30)}, [[0.0, 0.0]])
+        cands = EntitySet(ids=np.arange(30, dtype=np.uint64))
+        args = {"k": 3, "workers": 1, name: bad}
+        for composites in ([np.zeros(2)], [None]):
+            with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+                score_candidates_topk_many(composites, cands, store, **args)
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+            score_candidates_topk(np.zeros(2), cands, store, **args)
 
     def test_unknown_merge_rejected(self):
         store = make_store(2, 1, [], {i: [float(i), 0.0] for i in range(30)}, [[0.0, 0.0]])

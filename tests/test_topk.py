@@ -38,6 +38,11 @@ class TestSelectorBasics:
         with pytest.raises(ArgumentError):
             TopKSelector(0)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, None, "3", np.float64(3.0), -1])
+    def test_non_integer_capacity_rejected(self, bad):
+        with pytest.raises(ArgumentError, match="k must be an integer"):
+            TopKSelector(bad)
+
     def test_offer_keeps_best_two(self):
         sel = fill(2, [(10, 1.0), (11, 2.0), (12, 3.0)])
         expected = ref_topk([(10, 1.0), (11, 2.0), (12, 3.0)], 2)
