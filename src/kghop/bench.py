@@ -11,7 +11,9 @@ worker.
 Before any timing, the harness runs all three three-hop implementations
 (optimized, simple, oracle) plus the generic engine against its oracle
 once on the generated dataset and aborts if they disagree, so a timing
-run can never report numbers for divergent code paths.
+run can never report numbers for divergent code paths. Every record names
+the block kernel this process ran for the optimized scorer: `compiled`
+(`_hop3.c`) or `numpy`, its fallback.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import csv
 import os
 import statistics
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from . import _hop3
 from .errors import ArgumentError, BenchError
 from .generator import REL_AFFILIATION, REL_AWARD, REL_FIELD, GeneratorSpec, generate
 from .generic import multihop_reasoning_generic
@@ -42,7 +45,7 @@ from .trace import Trace, span
 STAGE_GENERIC = "genericMHR"
 STAGES = (STAGE_TOTAL, STAGE_HOP1, STAGE_HOP2, STAGE_HOP3, STAGE_GENERIC)
 
-CSV_HEADER = ["stage", "mode", "workers", "runtime_ms", "speedup"]
+CSV_HEADER = ["stage", "mode", "workers", "runtime_ms", "speedup", "kernel"]
 
 MODES_AND_ORACLE = (*MODES, "oracle")
 
@@ -88,6 +91,11 @@ class BenchSpec:
         return GeneratorSpec(**{g: getattr(self, b) for b, g in DATASET_FIELDS.items()})
 
 
+def kernel_name() -> str:
+    """The optimized scorer's block kernel in this process: "compiled" or "numpy"."""
+    return "numpy" if _hop3.load() is None else "compiled"
+
+
 @dataclass
 class BenchRecord:
     stage: str
@@ -95,6 +103,7 @@ class BenchRecord:
     workers: int
     runtime_ms: float
     speedup: float
+    kernel: str = field(default_factory=kernel_name)
 
 
 def _results_match(a: AffiliationResult, b: AffiliationResult) -> bool:
@@ -204,7 +213,7 @@ def write_csv(records: list[BenchRecord], path: str | Path) -> None:
             writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow(
-                [r.stage, r.mode, r.workers, f"{r.runtime_ms:.6f}", f"{r.speedup:.6f}"]
+                [r.stage, r.mode, r.workers, f"{r.runtime_ms:.6f}", f"{r.speedup:.6f}", r.kernel]
             )
 
 
@@ -214,16 +223,19 @@ def read_csv(path: str | Path) -> list[BenchRecord]:
         return [
             BenchRecord(
                 row["stage"], row["mode"], int(row["workers"]),
-                float(row["runtime_ms"]), float(row["speedup"]),
+                float(row["runtime_ms"]), float(row["speedup"]), row["kernel"],
             )
             for row in reader
         ]
 
 
 def format_table(records: list[BenchRecord]) -> str:
-    lines = [f"{'stage':<34} {'mode':<10} {'workers':>7} {'runtime_ms':>14} {'speedup':>9}"]
+    lines = [
+        f"{'stage':<34} {'mode':<10} {'workers':>7} {'runtime_ms':>14} {'speedup':>9} kernel"
+    ]
     for r in records:
         lines.append(
             f"{r.stage:<34} {r.mode:<10} {r.workers:>7d} {r.runtime_ms:>14.3f} {r.speedup:>9.2f}"
+            f" {r.kernel}"
         )
     return "\n".join(lines)

@@ -22,14 +22,13 @@ twice yields byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ArgumentError, DuplicateIdError, ParseError
-from .kgstore import TEXT, KGStore, parse_uint
+from .kgstore import TEXT, KGStore, parse_uint, require_count, require_real
 
 AWARD_ANCHOR_LABEL = "TURING_AWARD"
 FIELD_ANCHOR_LABEL = "DEEP_LEARNING"
@@ -60,20 +59,22 @@ class GeneratorSpec:
     plants: int = 10
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ArgumentError(f"dim must be >= 1, got {self.dim}")
+        for name in ("num_entities", "num_persons", "num_universities", "num_edges",
+                     "num_relations", "dim"):
+            require_count(getattr(self, name), name)
+        require_count(self.seed, "seed", minimum=0)
+        require_count(self.plants, "plants", minimum=0)
+        require_real(self.noise, "noise")
         if self.num_relations < 3:
             raise ArgumentError("schema needs at least 3 relations")
-        if self.num_persons < 1 or self.num_universities < 1:
-            raise ArgumentError("need at least one person and one university")
         if self.num_persons + self.num_universities + 2 > self.num_entities:
             raise ArgumentError(
                 f"{self.num_entities} entities cannot hold 2 anchors + "
                 f"{self.num_persons} persons + {self.num_universities} universities"
             )
-        if not (math.isfinite(self.noise) and self.noise >= 0):
+        if self.noise < 0:
             raise ArgumentError(f"noise must be a finite non-negative scale, got {self.noise}")
-        if not (0 <= self.plants <= self.num_persons):
+        if self.plants > self.num_persons:
             raise ArgumentError(f"plants must be in 0..num_persons, got {self.plants}")
         base = 2 * self.num_persons + self.num_universities
         if self.num_edges < base:

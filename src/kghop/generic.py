@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, QueryError, shown
-from .kgstore import KGStore, require_count, require_id
+from .kgstore import KGStore, require_count, require_id, require_real
 from .parallel import WorkerGang, block_bounds
-from .scoring import _score_block, require_finite_gamma
+from .scoring import _score_block
 from .topk import TopKSelector
 from .trace import Trace, count, span
 
@@ -180,7 +180,7 @@ def multihop_reasoning_generic(
     level, counting the paths it leaves for the next level as `frontier`.
     """
     workers = require_count(workers, "workers")
-    require_finite_gamma(gamma)
+    require_real(gamma, "gamma")
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
     if source == target:

@@ -22,6 +22,8 @@ Float components are ASCII without '_' and must be finite.
 
 from __future__ import annotations
 
+import math
+import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,11 +70,33 @@ def require_id(value, what: str = "entity id") -> None:
         raise QueryError(f"{what} {shown(value)} is not an unsigned 64-bit integer")
 
 
-def require_count(value, name: str) -> int:
-    """int(value); ArgumentError unless value is an int or numpy integer, not a bool, >= 1."""
-    if not (_is_int(value) and value >= 1):
-        raise ArgumentError(f"{name} must be an integer >= 1, got {shown(value)}")
+def require_count(value, name: str, minimum: int = 1) -> int:
+    """int(value); ArgumentError unless value is an int or numpy integer, not a bool, >= minimum."""
+    if not (_is_int(value) and value >= minimum):
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {shown(value)}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """float(value); ArgumentError unless a finite float, or a non-bool int in the float range."""
+    if isinstance(value, (float, np.floating)):
+        finite = math.isfinite(value)
+    else:
+        finite = _is_int(value) and abs(value) <= sys.float_info.max
+    if not finite:
+        raise ArgumentError(f"{name} must be a finite real number, got {shown(value)}")
+    return float(value)
+
+
+def _float_matrix(values, what: str) -> np.ndarray:
+    """values as float64: DimensionError if ragged, EmbeddingValueError unless real numbers."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise DimensionError(f"{what} embeddings are not a rectangular array: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise EmbeddingValueError(f"{what} embeddings are not real numbers (dtype {arr.dtype})")
+    return arr.astype(np.float64, copy=False)
 
 
 def _u64_ids(ids, what: str = "entity id") -> np.ndarray:
@@ -173,8 +197,7 @@ def ingest_edges(
     ParseError with its 1-based line number; a relation id outside
     0..num_relations-1 raises RelationRangeError naming the line.
     """
-    if num_relations < 0:
-        raise ArgumentError("num_relations must be >= 0")
+    num_relations = require_count(num_relations, "num_relations", minimum=0)
     heads, rels, tails = array("Q"), array("Q"), array("Q")
     for line_no, raw in enumerate(edge_stream, 1):
         line = raw.rstrip("\n")
@@ -247,8 +270,7 @@ def load_relation_embeddings(
     stream: Iterable[str], dim: int, num_relations: int
 ) -> np.ndarray:
     """Load the dense relation-embedding array; ids must cover 0..num_relations-1 exactly once."""
-    if num_relations < 0:
-        raise ArgumentError("num_relations must be >= 0")
+    num_relations = require_count(num_relations, "num_relations", minimum=0)
     ids, matrix, line_nos = _parse_vectors(stream, dim)
     out = np.zeros((num_relations, dim), dtype=np.float64)
     seen = np.zeros(num_relations, dtype=bool)
@@ -306,7 +328,7 @@ class KGStore:
         entity_ids, entity_matrix, relation_embeddings, heads, rels, tails = self._inputs
         self._inputs = None
 
-        rel_emb = np.array(relation_embeddings, dtype=np.float64)
+        rel_emb = _float_matrix(relation_embeddings, "relation").copy()
         if rel_emb.ndim != 2 or rel_emb.shape[1] < 1:
             raise DimensionError(
                 f"relation embeddings must be (num_relations, dim >= 1), got {rel_emb.shape}"
@@ -315,7 +337,7 @@ class KGStore:
         self.relation_embeddings = _frozen(rel_emb)
 
         ids = _u64_ids(entity_ids)
-        matrix = np.asarray(entity_matrix, dtype=np.float64)
+        matrix = _float_matrix(entity_matrix, "entity")
         if ids.ndim != 1 or matrix.shape != (len(ids), self.dim):
             raise DimensionError(
                 f"{ids.shape} entity ids need a ({len(ids)}, {self.dim}) matrix, got {matrix.shape}"

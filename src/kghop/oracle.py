@@ -14,7 +14,7 @@ block kernel, so comparisons are exact.
 from __future__ import annotations
 
 from .errors import QueryError
-from .kgstore import KGStore, require_count, require_id
+from .kgstore import KGStore, require_count, require_id, require_real
 from .generic import Path, ScoredPath, require_entity_ids, total_frontier_capacity
 from .pipeline import (
     STAGE_HOP1,
@@ -24,7 +24,7 @@ from .pipeline import (
     AffiliationResult,
     ThreeHopQuery,
 )
-from .scoring import require_finite_gamma, transe_score
+from .scoring import transe_score
 from .topk import NEG_INF, ScoredEntity
 from .trace import Trace, span
 
@@ -111,7 +111,7 @@ def oracle_beam_paths(
     per parent under (score desc, relation asc, tail asc). Completed
     paths collect in a plain list, sorted and truncated only at the end.
     """
-    require_finite_gamma(gamma)
+    require_real(gamma, "gamma")
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
     if source == target:

@@ -24,11 +24,10 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError, QueryError
-from .kgstore import EntitySet, KGStore, extract_entities, require_count, require_id
+from .kgstore import EntitySet, KGStore, extract_entities, require_count, require_id, require_real
 from .parallel import WorkerGang, block_bounds
 from .scoring import (
     embedding_aggregation,
-    require_finite_gamma,
     score_candidates_topk,
     score_candidates_topk_many,
     transe_score,
@@ -64,7 +63,7 @@ class ThreeHopQuery:
 
     def __post_init__(self):
         require_count(self.k, "k")
-        require_finite_gamma(self.gamma)
+        require_real(self.gamma, "gamma")
 
 
 @dataclass
@@ -135,7 +134,7 @@ def _simple_topk_scan(
     acquisition per scored candidate and an O(n log n) sort per stage.
     Counts the candidates it scores as `evals` into `trace`.
     """
-    require_finite_gamma(gamma)
+    require_real(gamma, "gamma")
     comp_list = composite.tolist() if isinstance(composite, np.ndarray) else list(composite)
     ids = candidates.ids.tolist()
     shared: list[ScoredEntity] = []
@@ -203,6 +202,10 @@ def three_hop_query(
 ) -> AffiliationResult:
     """Run the three-hop query. `simple` and `optimized` return identical results.
 
+    Only hop 3 fans out over `workers`. Hops 1 and 2 score too few
+    candidates (2,000 and k at paper scale) to gain from threads, and run
+    on the calling thread.
+
     When given, `trace` receives a STAGE_TOTAL span holding one span per
     hop (STAGE_HOP1, STAGE_HOP2, STAGE_HOP3), each counting the
     candidate scorings it made as `evals`.
@@ -218,10 +221,10 @@ def three_hop_query(
         persons = extract_entities(store.edge_table(q.rel1), "tail")
         comp1 = embedding_aggregation(emb1, store.relation_embedding(q.rel1))
         with span(trace, STAGE_HOP1):
-            hop1 = _scan(mode, comp1, persons, store, q.k, workers, q.gamma, merge, trace)
+            hop1 = _scan(mode, comp1, persons, store, q.k, 1, q.gamma, merge, trace)
         with span(trace, STAGE_HOP2):
             hop2 = rescore_with_relation(
-                hop1, q.anchor2, q.rel2, store, q.k, workers, mode, merge, q.gamma, trace
+                hop1, q.anchor2, q.rel2, store, q.k, 1, mode, merge, q.gamma, trace
             )
 
         universities = extract_entities(store.edge_table(q.rel3), "tail")

@@ -11,21 +11,22 @@ depends on which code path (or worker chunk) computed it. That makes
 results from the optimized engine, the locked baseline, and the
 sequential oracles exactly equal, not merely close.
 
-Many composites are streamed through the kernel one at a time, each
-row's scores going straight to the exact per-row selection _row_topk:
-one row (320 KB at 40k candidates) stays in L2 cache between the kernel
-and the selection, where a (rows, n) score matrix would not.
+Many composites against one candidate block go through the compiled
+kernel `_hop3.c`, which scores the block and keeps each composite's
+exact top-k in one pass with the GIL released. Where it cannot be built,
+the numpy kernel runs instead: each composite is streamed through
+_score_block in turn, and its row goes straight to the exact per-row
+selection _row_topk, so one row (320 KB at 40k candidates) stays in L2
+cache between the two. Both give the same ids and the same bits.
 """
 
 from __future__ import annotations
 
-import math
-import sys
-
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, shown
-from .kgstore import EntitySet, KGStore, _is_int, require_count
+from . import _hop3
+from .errors import ArgumentError, DimensionError
+from .kgstore import EntitySet, KGStore, require_count, require_real
 from .parallel import WorkerGang, block_bounds
 from .topk import (
     NEG_INF,
@@ -36,16 +37,6 @@ from .topk import (
     require_merge,
 )
 from .trace import Trace, count
-
-
-def require_finite_gamma(gamma: float) -> None:
-    """ArgumentError unless gamma is a finite float, or a non-bool int within the float range."""
-    if isinstance(gamma, (float, np.floating)):
-        finite = math.isfinite(gamma)
-    else:
-        finite = _is_int(gamma) and abs(gamma) <= sys.float_info.max
-    if not finite:
-        raise ArgumentError(f"gamma must be a finite real number, got {shown(gamma)}")
 
 
 def embedding_aggregation(h_emb, r_emb) -> np.ndarray:
@@ -146,13 +137,14 @@ def score_candidates_topk_many(
     """Top-k candidates by TransE score against each of many composites.
 
     Candidates are block-partitioned over the workers. Each worker
-    gathers its block once, then scores the composites one at a time and
-    keeps each one's exact top-k of its block; the stacked rankings
-    are combined by the chosen reduction collective (tree or locked),
-    every composite's merge riding the same rounds, so barrier count is
-    O(log workers) per call however many composites there are. Missing
-    embeddings score -inf and therefore surface only when fewer than k
-    finite-scored candidates exist.
+    gathers its block once, then scores every composite against it and
+    keeps each one's exact top-k of its block, in one call to the
+    compiled kernel (or, without it, one numpy row at a time); the
+    stacked rankings are combined by the chosen reduction collective
+    (tree or locked), every composite's merge riding the same rounds, so
+    barrier count is O(log workers) per call however many composites
+    there are. Missing embeddings score -inf and therefore surface only
+    when fewer than k finite-scored candidates exist.
 
     Entries of `composites` may be None (no composite could be formed);
     those yield None results. A composite or gamma that is not finite is
@@ -162,7 +154,7 @@ def score_candidates_topk_many(
     """
     k = require_count(k, "k")
     workers = require_count(workers, "workers")
-    require_finite_gamma(gamma)
+    gamma = require_real(gamma, "gamma")
     require_merge(merge)
     live_idx = []
     live_comps = []
@@ -186,6 +178,8 @@ def score_candidates_topk_many(
     if not live_comps:
         return out
 
+    kernel = _hop3.load()
+    comps = np.stack(live_comps)
     gang = WorkerGang(workers)
     locals_: list = [None] * workers
 
@@ -202,8 +196,12 @@ def score_candidates_topk_many(
         lo, hi = block_bounds(n, workers, wid)
         ids_blk = cand_ids[lo:hi]
         emb_t, found = store.gather_entity_embeddings(ids_blk)
-        ranked = [_row_topk(ids_blk, _score_block(emb_t, found, c, gamma), k) for c in live_comps]
-        locals_[wid] = tuple(map(np.stack, zip(*ranked)))
+        if kernel is None:
+            ranked = [_row_topk(ids_blk, _score_block(emb_t, found, c, gamma), k) for c in comps]
+            locals_[wid] = tuple(map(np.stack, zip(*ranked)))
+        else:
+            idx, scores = _hop3.block_topk(kernel, emb_t, found, comps, gamma, min(k, hi - lo))
+            locals_[wid] = (ids_blk[idx], scores)
         gang.barrier.wait()
         if merge == "tree":
             res = reduce_topk_tree(locals_, workers, wid, gang.barrier, combine=combine)

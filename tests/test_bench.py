@@ -2,16 +2,19 @@
 
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kghop import _hop3
 from kghop.bench import (
     CSV_HEADER,
     BenchRecord,
     BenchSpec,
     _results_match,
     format_table,
+    kernel_name,
     read_csv,
     run_bench,
     write_csv,
@@ -148,6 +151,16 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines.count(",".join(CSV_HEADER)) == 1
         assert len(read_csv(path)) == 2
+
+    def test_every_record_and_row_names_the_kernel(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        records = run_bench(tiny_spec(), csv_path=path)
+        expected = "numpy" if _hop3.load() is None else "compiled"
+        assert {r.kernel for r in records} == {expected} and kernel_name() == expected
+        assert [r.kernel for r in read_csv(path)] == [expected] * len(records)
+        assert format_table(records).splitlines()[1].endswith(f" {expected}")
+        with mock.patch.object(_hop3, "load", lambda: None):
+            assert BenchRecord("s", "optimized", 1, 1.0, 1.0).kernel == "numpy"
 
     def test_format_table_lists_every_record(self):
         records = [BenchRecord("stageA", "optimized", 1, 12.5, 1.0)]

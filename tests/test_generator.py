@@ -54,6 +54,32 @@ class TestSpecValidation:
         with pytest.raises(ArgumentError):
             small_spec(num_relations=2)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["num_entities", "num_persons", "num_universities", "num_edges", "num_relations",
+         "dim", "seed", "plants"],
+    )
+    @pytest.mark.parametrize("bad", [2.5, None, "8", True, np.float64(8.0)])
+    def test_counts_are_non_bool_integers(self, field, bad):
+        with pytest.raises(ArgumentError, match=field):
+            small_spec(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["num_persons", "num_universities", "dim"])
+    def test_counts_are_at_least_one(self, field):
+        with pytest.raises(ArgumentError, match=field):
+            small_spec(**{field: 0})
+
+    def test_seed_and_plants_may_be_zero_but_not_negative(self):
+        assert small_spec(seed=0, plants=0).plants == 0
+        for field in ("seed", "plants"):
+            with pytest.raises(ArgumentError, match=field):
+                small_spec(**{field: -1})
+
+    @pytest.mark.parametrize("bad", [None, "0.1", True, float("nan"), float("inf"), 10**400])
+    def test_noise_is_a_finite_real(self, bad):
+        with pytest.raises(ArgumentError, match="noise"):
+            small_spec(noise=bad)
+
 
 class TestDeterminism:
     def test_same_seed_same_arrays(self):

@@ -95,6 +95,11 @@ class TestIngestEdges:
         with pytest.raises(RelationRangeError, match="line 1"):
             ingest_edges(["0\t5\t1"], num_relations=2)
 
+    @pytest.mark.parametrize("bad", [None, 1.5, True, "2", -1, np.float64(2.0)])
+    def test_num_relations_is_a_non_bool_integer(self, bad):
+        with pytest.raises(ArgumentError, match="num_relations"):
+            ingest_edges(["0\t1\t0"], bad)
+
     def test_duplicate_triples_kept(self):
         tables = edge_tables(["0\t0\t1", "0\t0\t1"], num_relations=1)
         assert table_dict(tables[0]) == {0: [1, 1]}
@@ -178,6 +183,11 @@ class TestRelationEmbeddings:
     def test_out_of_range_relation(self):
         with pytest.raises(CompletenessError):
             load_relation_embeddings(["0\t1 0", "5\t0 1"], dim=2, num_relations=2)
+
+    @pytest.mark.parametrize("bad", [None, 1.5, True, "2", -1, np.float64(2.0)])
+    def test_num_relations_is_a_non_bool_integer(self, bad):
+        with pytest.raises(ArgumentError, match="num_relations"):
+            load_relation_embeddings(["0\t1 0"], dim=2, num_relations=bad)
 
     def test_shuffled_order_matches_sorted(self):
         rng = np.random.default_rng(3)
@@ -332,6 +342,22 @@ class TestKGStore:
         (ent if which == "entity" else rel)[-1, 1] = value
         with pytest.raises(EmbeddingValueError, match=f"{which} embeddings"):
             KGStore([0, 1], ent, rel, [0], [0], [1])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            *((bad, EmbeddingValueError) for bad in (
+                [["a", "b"]], [[None, 0.0]], [[1j, 0.0]], np.array([[1j, 0.0]]),
+                [[10**400, 0.0]], [[True, False]], "x",
+            )),
+            ([[0.0], [0.0, 1.0]], DimensionError),
+        ],
+    )
+    @pytest.mark.parametrize("which", ["entity", "relation"])
+    def test_embeddings_must_be_a_rectangular_array_of_reals(self, bad, error, which):
+        args = {"entity": np.zeros((1, 2)), "relation": np.zeros((1, 2)), which: bad}
+        with pytest.raises(error, match=f"{which} embeddings"):
+            KGStore([0], args["entity"], args["relation"], [], [], [])
 
     def test_edge_relation_out_of_range_rejected(self):
         with pytest.raises(RelationRangeError):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kghop.errors import ArgumentError, KghopError, QueryError
 from kghop.generator import GeneratorSpec, generate
 from kghop.generic import multihop_reasoning_generic, total_frontier_capacity
 from kghop.oracle import oracle_beam_paths, oracle_three_hop, oracle_topk
+from kghop.parallel import WorkerGang
 from kghop.pipeline import (
     MODES,
     STAGE_HOP1,
@@ -91,6 +93,21 @@ class TestPlantedInstance:
         store, query = planted_instance()
         result = three_hop_query(store, query, mode="optimized", workers=2)
         assert result.affiliations[1][0] == ScoredEntity(10, 1.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_only_hop3_fans_out(self, mode):
+        store, query = planted_instance()
+        sizes = []
+        real_init = WorkerGang.__init__
+
+        def init(gang, workers):
+            sizes.append(workers)
+            real_init(gang, workers)
+
+        with mock.patch.object(WorkerGang, "__init__", init):
+            three_hop_query(store, query, mode=mode, workers=3)
+        hop3_calls = 1 if mode == "optimized" else 2  # simple: one scan per ranked person
+        assert sizes == [1, 1] + [3] * hop3_calls
 
     def test_simple_mode_identical(self):
         store, query = planted_instance()
