@@ -108,7 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pathq.add_argument("--source", required=True, help="source entity (id or label)")
     pathq.add_argument("--target", required=True, help="target entity (id or label)")
     pathq.add_argument("--hops", type=int, default=3, help="maximum path length")
-    pathq.add_argument("--threads", type=int, default=1, help="worker threads")
+    pathq.add_argument(
+        "--threads", type=int, default=1,
+        help="checked only: the generic engine runs on the calling thread, "
+             "because threads made it 2-3x slower under the GIL",
+    )
     _topk_gamma_flags(pathq)
     pathq.add_argument(
         "--mode", choices=("optimized", "oracle"), default="optimized",

@@ -1,13 +1,14 @@
 """Arbitrary-N-hop top-K path search between a source and a target.
 
-Level-synchronous frontier expansion: at each level every live path is
-expanded in parallel. A path's composite embedding is the source
-embedding plus its relation embeddings, added in hop order. Each
-frontier entry carries its path's composite, and each out-neighbor is
-scored against that composite extended by the new edge's relation.
-Neighbors equal to the target complete the path and go to the shared
-results selector; the rest compete for at most k beam slots per parent
-and the survivors form the next frontier.
+Level-synchronous frontier expansion on the calling thread: each level
+expands every live path, in frontier order, before the next level
+starts. A path's composite embedding is the source embedding plus its
+relation embeddings, added in hop order. Each frontier entry carries its
+path's composite, and each out-neighbor is scored against that
+composite extended by the new edge's relation. Neighbors equal to the
+target complete the path and go to the query's results selector; the
+rest compete for at most k beam slots per parent and the survivors form
+the next frontier.
 
 The beam is per parent, so the engine returns the best completed paths
 among those that survived per-parent truncation, not a global optimum
@@ -16,14 +17,12 @@ over all paths. The sequential oracle replays the identical rule.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, QueryError, shown
 from .kgstore import KGStore, require_count, require_id, require_real
-from .parallel import WorkerGang, block_bounds
 from .scoring import _score_block
 from .topk import TopKSelector
 from .trace import Trace, count, span
@@ -68,20 +67,14 @@ class ScoredPath(NamedTuple):
         return (-self.score, self.path.interleaved())
 
 
-class SharedResults:
-    """Results selector with serialized offers, shared by all workers."""
+class SharedResults(TopKSelector):
+    """The query's results selector: the k best completed paths so far.
 
-    def __init__(self, k: int):
-        self._lock = threading.Lock()
-        self._selector = TopKSelector(k)
+    A subclass only so that its name stays: perfbench wraps
+    `SharedResults.offer` to count completed paths.
+    """
 
-    def offer(self, item: ScoredPath) -> None:
-        with self._lock:
-            self._selector.offer(item)
-
-    def drain_sorted(self) -> list[ScoredPath]:
-        with self._lock:
-            return self._selector.into_sorted_desc()
+    __slots__ = ()
 
 
 def total_frontier_capacity(k: int, num_hops: int) -> int:
@@ -171,15 +164,14 @@ def multihop_reasoning_generic(
 ) -> list[ScoredPath]:
     """Top-k completed source-to-target paths of length <= num_hops.
 
-    Levels run synchronously: all expansions of length-L paths finish
-    (fork-join barrier) before any length-L+1 path is expanded. Within a
-    level, each of min(workers, frontier) workers expands a contiguous
-    frontier block into its own buffer; buffers are concatenated in
-    worker order, so the frontier sequence is identical for every worker
-    count. When given, `trace` receives one `level` span per expanded
-    level, counting the paths it leaves for the next level as `frontier`.
+    Levels run synchronously on the calling thread: every length-L path
+    is expanded, in frontier order, before any length-L+1 path. `workers`
+    is checked as a count and changes nothing else; threads would only
+    take turns under the GIL for this per-path Python work. When given,
+    `trace` receives one `level` span per expanded level, counting the
+    paths it leaves for the next level as `frontier`.
     """
-    workers = require_count(workers, "workers")
+    require_count(workers, "workers")
     require_real(gamma, "gamma")
     total_frontier_capacity(k, num_hops)
     require_entity_ids(source, target)
@@ -194,19 +186,10 @@ def multihop_reasoning_generic(
     for _level in range(num_hops):
         if not frontier:
             break
-        w_eff = min(workers, len(frontier))
-        buffers: list[list] = [[] for _ in range(w_eff)]
-        gang = WorkerGang(w_eff)
-        current = frontier
-
-        def work(wid: int) -> None:
-            lo, hi = block_bounds(len(current), w_eff, wid)
-            buf = buffers[wid]
-            for i in range(lo, hi):
-                expand_path(current[i], buf, store, target, k, results, gamma)
-
         with span(trace, "level"):
-            gang.run(work)
-            frontier = [entry for buf in buffers for entry in buf]
+            next_frontier: list[tuple[Path, np.ndarray]] = []
+            for entry in frontier:
+                expand_path(entry, next_frontier, store, target, k, results, gamma)
+            frontier = next_frontier
             count(trace, "frontier", len(frontier))
-    return results.drain_sorted()
+    return results.into_sorted_desc()

@@ -70,6 +70,15 @@ def require_id(value, what: str = "entity id") -> None:
         raise QueryError(f"{what} {shown(value)} is not an unsigned 64-bit integer")
 
 
+def _require_int_key(value, what: str) -> None:
+    """The id rule's type half, for scalar lookups: QueryError unless an int, not a bool.
+
+    Lookups skip this call for an exact int: engines make thousands per query.
+    """
+    if not _is_int(value):
+        raise QueryError(f"{what} {shown(value)} is not an unsigned 64-bit integer")
+
+
 def require_count(value, name: str, minimum: int = 1) -> int:
     """int(value); ArgumentError unless value is an int or numpy integer, not a bool, >= minimum."""
     if not (_is_int(value) and value >= minimum):
@@ -152,7 +161,9 @@ class EdgeTable:
         self.tail_set = EntitySet(self._tails)
 
     def tails(self, head: int) -> np.ndarray:
-        """Sorted tails for head; an absent head yields an empty array."""
+        """Sorted tails for head: empty if absent, QueryError unless an int (not a bool)."""
+        if type(head) is not int:
+            _require_int_key(head, "head id")
         return self._index.get(head, _EMPTY_U64)
 
     def heads(self) -> Iterator[int]:
@@ -381,7 +392,9 @@ class KGStore:
             )
 
     def entity_embedding(self, entity_id: int) -> np.ndarray | None:
-        """Read-only embedding row of entity_id, or None if it has none."""
+        """Read-only embedding row of entity_id, or None if it has none; the id must be an int."""
+        if type(entity_id) is not int:
+            _require_int_key(entity_id, "entity id")
         row = self._rows.get(entity_id)
         return None if row is None else self._ent_matrix[row]
 
@@ -394,12 +407,16 @@ class KGStore:
         return self.edge_tables[relation_id]
 
     def gather_entity_embeddings(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized embedding fetch for sorted-or-not uint64 ids.
+        """Vectorized embedding fetch for a 1-D array of ids, sorted or not.
 
-        Returns (emb_t, found): emb_t is a fresh C-contiguous (dim, n)
-        transposed block (missing ids get a zero row, masked out by found).
+        Each id must pass require_id (an unsigned array passes unchanged),
+        and ids that are not 1-D raise ArgumentError. Returns (emb_t,
+        found): emb_t is a fresh C-contiguous (dim, n) transposed block
+        (missing ids get a zero row, masked out by found).
         """
-        ids = np.asarray(ids, dtype=np.uint64)
+        ids = _u64_ids(ids)
+        if ids.ndim != 1:
+            raise ArgumentError(f"ids to gather must be 1-D, got shape {ids.shape}")
         n = len(ids)
         if self._ent_ids.size == 0 or n == 0:
             return (

@@ -1,5 +1,8 @@
 """Generic N-hop beam engine: capacity, expansion, full searches."""
 
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -276,6 +279,19 @@ class TestGenericSearch:
             for w in (1, 4, 8)
         }
         assert runs[1] == runs[4] == runs[8]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 16])
+    def test_levels_run_on_the_calling_thread(self, workers):
+        store = random_graph_store(np.random.default_rng(37), n_nodes=60, n_rels=2, n_edges=300)
+        oracle = oracle_beam_paths(store, 0, 59, 4, 4)
+        assert len(oracle) == 4
+
+        def refuse(thread):
+            raise AssertionError(f"the generic engine started thread {thread.name}")
+
+        with mock.patch.object(threading.Thread, "start", refuse):
+            got = multihop_reasoning_generic(store, 0, 59, 4, 4, workers=workers)
+        assert got == oracle
 
     def test_huge_k_equals_exhaustive_enumeration(self):
         rng = np.random.default_rng(34)

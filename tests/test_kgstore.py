@@ -318,6 +318,29 @@ class TestKGStore:
         assert emb_t[:, 0].tolist() == [1.0, 2.0]
         assert emb_t[:, 3].tolist() == [5.0, 6.0]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [[1.5, 2.9], ["1"], np.array([True, False]), [True], [-1], [2**64], np.array([-1, 3]),
+         np.array([2.0]), [None], [[1], [2, 3]]],
+        ids=["1.5", "str", "bool-array", "True", "-1", "2**64", "int64-array--1", "float64-array",
+             "None", "ragged"],
+    )
+    def test_gather_applies_the_id_rule(self, raw):
+        store = make_store(2, 1, [], {1: [1.0, 2.0], 2: [3.0, 4.0]}, [[0.0, 0.0]])
+        with pytest.raises(QueryError, match="unsigned 64-bit"):
+            store.gather_entity_embeddings(raw)
+
+    @pytest.mark.parametrize(
+        "raw", [np.ones((2, 2), dtype=np.uint64), [[1, 2]], 1, np.uint64(1)],
+        ids=["2-D-uint64", "2-D-list", "int", "uint64-scalar"],
+    )
+    def test_gather_takes_one_dimensional_ids(self, raw):
+        store = make_store(2, 1, [], {1: [1.0, 2.0]}, [[0.0, 0.0]])
+        with pytest.raises(ArgumentError, match="1-D"):
+            store.gather_entity_embeddings(raw)
+        emb_t, found = store.gather_entity_embeddings([1, np.uint64(2), 2**64 - 1])
+        assert found.tolist() == [True, False, False] and emb_t[:, 0].tolist() == [1.0, 2.0]
+
     def test_relation_range_checks(self):
         store = make_store(2, 1, [], {0: [0.0, 0.0]}, [[0.0, 0.0]])
         with pytest.raises(RelationRangeError):

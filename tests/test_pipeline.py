@@ -511,3 +511,23 @@ def test_hostile_scalar_raises_a_kghop_error_or_returns(data):
         fn(**{**kwargs, param: value})
     except KghopError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hostile_scalar_lookup_key_follows_the_id_rule(data):
+    """A store lookup takes any int, and one outside the store finds nothing.
+
+    Anything else, a bool included, is a QueryError.
+    """
+    store, _ = planted_instance()
+    lookup = data.draw(
+        st.sampled_from([store.entity_embedding, store.edge_table(0).tails]), label="lookup"
+    )
+    value = data.draw(HOSTILE, label="value")
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        got, want = lookup(value), lookup(int(value))
+        assert got is want is None or np.array_equal(got, want)
+    else:
+        with pytest.raises(QueryError, match="not an unsigned 64-bit integer"):
+            lookup(value)
