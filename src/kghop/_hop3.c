@@ -1,41 +1,147 @@
-/* Hop 3's fused kernel. emb is the (dim, n) transposed block, found[i] is 0
- * for a missing embedding (-inf), comps is (rows, dim). Each L1 sum runs j
- * ascending like the numpy kernel's; a vector lane holds one candidate, so the
- * bits match. idx, out (rows, kk) get each row's best kk by (score desc, index
- * asc): a candidate enters a full row only above its worst, so ties keep the
- * lower index. */
+/* Hop 3's leaf-bound sweep over a candidate set in kd-tree leaf order.
+ *
+ * emb is the (dim, n) block of the set, ids its entity ids, found[i] 0 where
+ * member i has no embedding (it scores -inf). Leaf l holds members starts[l]
+ * to starts[l + 1]; lo, hi (leaves, dim) are the per-dimension min and max of
+ * its found members, +inf and -inf when it has none. comps is (rows, dim).
+ * The caller's worker takes leaves first, first + step, ...; pos, out
+ * (rows, kk) get each row's best kk of them by (score desc, id asc).
+ *
+ * A score is gamma - sum_j |x_j - c_j|, summed j ascending like the numpy
+ * kernel's; a vector lane holds one member, so the bits match.
+ *
+ * The bound. For member x of a leaf, lo_j <= x_j <= hi_j, so
+ *   |x_j - c_j| >= g_j = max(0, lo_j - c_j, c_j - hi_j)
+ * also after rounding: rounded subtraction is monotone in each argument, and
+ * fabs(x - c) is c - x rounded when x < c. Rounded addition is monotone too,
+ * so the L1 sum, taken j ascending, is >= the sum of the g_j taken j
+ * ascending, and gamma minus it <= the bound gamma - sum_j g_j. A leaf with
+ * no found member has g_j = +inf and bound -inf, which its -inf scores meet.
+ *
+ * Two rules keep the sweep exact:
+ *  - A (leaf, row) pair is skipped only when the row is full and the bound
+ *    is strictly below the row's k-th score: a member scoring equal to the
+ *    k-th may still enter by a lower id.
+ *  - A member enters a full row when its score is above the worst, or ties
+ *    it with a lower id, and is inserted by (score desc, id asc). Leaf order
+ *    is not id order, so ids, never positions, break ties.
+ *
+ * The sweep is leaf-major: each row first scores its SEEDS best-bound
+ * leaves, which fills it and sets its threshold; then each leaf is visited
+ * once and scored for every row whose threshold its bound reaches, while
+ * its block stays in cache. Returns the number of (member, row) pairs
+ * skipped, or -1 when scratch memory cannot be had. */
 #include <math.h>
 #include <stdint.h>
-#define BLOCK 512
+#include <stdlib.h>
+#define SEEDS 4
 
-void hop3_topk(const double *emb, const uint8_t *found, int64_t n,
-               const double *comps, int64_t rows, int64_t dim, double gamma,
-               int64_t kk, int64_t *idx, double *out)
+static double leaf_bound(const double *lo, const double *hi, const double *c, int64_t dim,
+                         double gamma)
 {
-    double acc[BLOCK];
-    for (int64_t b0 = 0; kk > 0 && b0 < n; b0 += BLOCK) {
-        int64_t m = n - b0 < BLOCK ? n - b0 : BLOCK;
-        for (int64_t r = 0; r < rows; r++) {
-            const double *c = comps + r * dim;
-            int64_t *ix = idx + r * kk;
-            double *sc = out + r * kk;
-            for (int64_t i = 0; i < m; i++)
-                acc[i] = fabs(emb[b0 + i] - c[0]);
-            for (int64_t j = 1; j < dim; j++)
-                for (int64_t i = 0; i < m; i++)
-                    acc[i] += fabs(emb[j * n + b0 + i] - c[j]);
-            for (int64_t i = 0; i < m; i++) {
-                int64_t cand = b0 + i, p = cand < kk ? cand : kk - 1;
-                double s = found[cand] ? gamma - acc[i] : -INFINITY;
-                if (cand >= kk && !(s > sc[kk - 1]))
-                    continue;
-                for (; p > 0 && sc[p - 1] < s; p--) {
-                    sc[p] = sc[p - 1];
-                    ix[p] = ix[p - 1];
-                }
-                sc[p] = s;
-                ix[p] = cand;
-            }
+    double gap = 0.0;
+    for (int64_t j = 0; j < dim; j++) {
+        double below = lo[j] - c[j], above = c[j] - hi[j];
+        double g = below > above ? below : above;
+        gap += g > 0.0 ? g : 0.0;
+    }
+    return gamma - gap;
+}
+
+/* Score members a .. a + m of the block against c into row (pos, sc) of fill *cnt. */
+static void score_leaf(const double *emb, const uint8_t *found, const uint64_t *ids, int64_t n,
+                       int64_t a, int64_t m, const double *c, int64_t dim, double gamma,
+                       double *acc, int64_t kk, int64_t *cnt, int64_t *pos, double *sc)
+{
+    for (int64_t i = 0; i < m; i++)
+        acc[i] = fabs(emb[a + i] - c[0]);
+    for (int64_t j = 1; j < dim; j++)
+        for (int64_t i = 0; i < m; i++)
+            acc[i] += fabs(emb[j * n + a + i] - c[j]);
+    for (int64_t i = 0; i < m; i++) {
+        int64_t cand = a + i, p = *cnt;
+        uint64_t id = ids[cand];
+        double s = found[cand] ? gamma - acc[i] : -INFINITY;
+        if (p == kk) {
+            if (!(s > sc[kk - 1] || (s == sc[kk - 1] && id < ids[pos[kk - 1]])))
+                continue;
+            p = kk - 1;
+        } else {
+            (*cnt)++;
+        }
+        for (; p > 0 && (sc[p - 1] < s || (sc[p - 1] == s && ids[pos[p - 1]] > id)); p--) {
+            sc[p] = sc[p - 1];
+            pos[p] = pos[p - 1];
+        }
+        sc[p] = s;
+        pos[p] = cand;
+    }
+}
+
+int64_t leaf_topk(const double *emb, const uint8_t *found, const uint64_t *ids, int64_t n,
+                  const int64_t *starts, const double *lo, const double *hi, int64_t leaves,
+                  int64_t first, int64_t step, const double *comps, int64_t rows, int64_t dim,
+                  double gamma, int64_t kk, int64_t *pos, double *out)
+{
+    int64_t mine = first < leaves ? (leaves - first + step - 1) / step : 0, widest = 0;
+    if (kk <= 0 || mine == 0)
+        return 0;
+    for (int64_t t = 0; t < mine; t++) {
+        int64_t l = first + t * step;
+        if (starts[l + 1] - starts[l] > widest)
+            widest = starts[l + 1] - starts[l];
+    }
+    double *bound = malloc(sizeof(double) * (rows * mine + widest));
+    int64_t *seed = malloc(sizeof(int64_t) * rows * (SEEDS + 1));
+    if (bound == NULL || seed == NULL) {
+        free(bound);
+        free(seed);
+        return -1;
+    }
+    double *acc = bound + rows * mine;
+    int64_t *cnt = seed + rows * SEEDS, pruned = 0;
+
+    for (int64_t r = 0; r < rows; r++) {
+        const double *c = comps + r * dim;
+        double *b = bound + r * mine;
+        int64_t *sd = seed + r * SEEDS, ns = 0;
+        for (int64_t t = 0; t < mine; t++) {
+            int64_t l = first + t * step, p;
+            b[t] = leaf_bound(lo + l * dim, hi + l * dim, c, dim, gamma);
+            if (ns == SEEDS && !(b[t] > b[sd[SEEDS - 1]]))
+                continue;
+            p = ns < SEEDS ? ns++ : SEEDS - 1;
+            for (; p > 0 && b[sd[p - 1]] < b[t]; p--)
+                sd[p] = sd[p - 1];
+            sd[p] = t;
+        }
+        for (int64_t s = ns; s < SEEDS; s++)
+            sd[s] = -1;
+        cnt[r] = 0;
+        for (int64_t s = 0; s < ns; s++) {
+            int64_t l = first + sd[s] * step;
+            score_leaf(emb, found, ids, n, starts[l], starts[l + 1] - starts[l], c, dim, gamma,
+                       acc, kk, cnt + r, pos + r * kk, out + r * kk);
         }
     }
+    for (int64_t t = 0; t < mine; t++) {
+        int64_t l = first + t * step, a = starts[l], m = starts[l + 1] - a;
+        for (int64_t r = 0; r < rows; r++) {
+            const int64_t *sd = seed + r * SEEDS;
+            int seeded = 0;
+            for (int64_t s = 0; s < SEEDS; s++)
+                seeded |= sd[s] == t;
+            if (seeded)
+                continue;
+            if (cnt[r] == kk && bound[r * mine + t] < out[r * kk + kk - 1]) {
+                pruned += m;
+                continue;
+            }
+            score_leaf(emb, found, ids, n, a, m, comps + r * dim, dim, gamma, acc, kk, cnt + r,
+                       pos + r * kk, out + r * kk);
+        }
+    }
+    free(bound);
+    free(seed);
+    return pruned;
 }

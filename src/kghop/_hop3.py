@@ -1,4 +1,4 @@
-"""Build, load and call the compiled hop-3 kernel, `_hop3.c`.
+"""Build, load and call the compiled hop-3 leaf-bound sweep, `_hop3.c`.
 
 load() compiles it once, under a timeout and via a renamed temporary file, into
 `__pycache__/_hop3-<hash>.so`, or a temporary directory if that is not writable.
@@ -58,22 +58,37 @@ def load():
     if cc is None:
         return None
     try:
-        fn = ctypes.CDLL(str(_build([*cc, *FLAGS]))).hop3_topk
+        fn = ctypes.CDLL(str(_build([*cc, *FLAGS]))).leaf_topk
     except (OSError, subprocess.SubprocessError):
         return None
     p, i = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes, fn.restype = [p, p, i, p, i, i, ctypes.c_double, i, p, p], None
+    fn.argtypes = [p, p, p, i, p, p, p, i, i, i, p, i, i, ctypes.c_double, i, p, p]
+    fn.restype = i
     return fn
 
 
-def block_topk(fn, emb_t: np.ndarray, found: np.ndarray, comps: np.ndarray, gamma: float, kk: int):
-    """(local indices, scores), each (rows, kk): every composite's top kk = min(k, n) of a block."""
-    (rows, dim), n = comps.shape, len(found)
-    if emb_t.shape != (dim, n) or not 0 <= kk <= n:
-        raise ValueError(f"block {emb_t.shape}, {n} flags, {comps.shape} composites, kk={kk}")
-    emb_t, comps = (np.ascontiguousarray(a, dtype=np.float64) for a in (emb_t, comps))
-    found = np.ascontiguousarray(found, dtype=np.bool_)
-    idx, scores = np.empty((rows, kk), dtype=np.int64), np.empty((rows, kk))
-    fn(emb_t.ctypes.data, found.ctypes.data, n, comps.ctypes.data, rows, dim,
-       gamma, kk, idx.ctypes.data, scores.ctypes.data)
-    return idx, scores
+def leaf_topk(fn, layout, comps: np.ndarray, gamma: float, k: int, first: int = 0, step: int = 1):
+    """(positions, scores, pruned) of one worker's leaves first, first + step, ... of a layout.
+
+    positions and scores are (rows, kk), kk = min(k, members of those
+    leaves): every composite's best kk by (score desc, id asc), as
+    positions into the layout. pruned counts the (member, composite)
+    pairs the leaf bound skipped.
+    """
+    (rows, dim), leaves = comps.shape, len(layout.starts) - 1
+    n = len(layout.ids)
+    if (layout.emb.shape != (dim, n) or len(layout.found) != n
+            or layout.lo.shape != (leaves, dim) or layout.hi.shape != (leaves, dim)
+            or not 0 <= first < step):
+        raise ValueError(f"layout block {layout.emb.shape} of {n} ids and {leaves} leaves, "
+                         f"{comps.shape} composites, leaves {first}::{step}")
+    kk = min(k, int(np.diff(layout.starts)[first::step].sum()))
+    comps = np.ascontiguousarray(comps, dtype=np.float64)
+    pos, scores = np.empty((rows, kk), dtype=np.int64), np.empty((rows, kk))
+    pruned = fn(layout.emb.ctypes.data, layout.found.ctypes.data, layout.ids.ctypes.data, n,
+                layout.starts.ctypes.data, layout.lo.ctypes.data, layout.hi.ctypes.data, leaves,
+                first, step, comps.ctypes.data, rows, dim, gamma, kk,
+                pos.ctypes.data, scores.ctypes.data)
+    if pruned < 0:
+        raise MemoryError("hop-3 kernel scratch")
+    return pos, scores, pruned

@@ -3,8 +3,9 @@
 Times the three-hop query end to end (multiHopReasoning) and per stage
 (computeScorePerPerson, computeScoreBasedOnWorksInDL,
 computeAffiliationScore), plus the generic path engine (genericMHR),
-for each requested mode and worker count, as spans of a Trace. Warmup
-runs are discarded and the median of the remaining repetitions is
+for each requested mode and worker count, as spans of a Trace. The
+three-hop query and the generic engine each run in their own loop of
+warmups, which are discarded, and repetitions, whose median is
 reported, with speedup relative to the same mode and stage at one
 worker.
 
@@ -12,7 +13,7 @@ Before any timing, the harness runs all three three-hop implementations
 (optimized, simple, oracle) plus the generic engine against its oracle
 once on the generated dataset and aborts if they disagree, so a timing
 run can never report numbers for divergent code paths. Every record names
-the block kernel this process ran for the optimized scorer: `compiled`
+the kernel this process ran for the optimized scorer: `compiled`
 (`_hop3.c`) or `numpy`, its fallback.
 """
 
@@ -92,7 +93,7 @@ class BenchSpec:
 
 
 def kernel_name() -> str:
-    """The optimized scorer's block kernel in this process: "compiled" or "numpy"."""
+    """The optimized scorer's kernel in this process: "compiled" or "numpy"."""
     return "numpy" if _hop3.load() is None else "compiled"
 
 
@@ -161,32 +162,37 @@ def run_bench(
     for mode in spec.modes:
         worker_counts = (1,) if mode == "oracle" else spec.workers
         for w in worker_counts:
-            samples: dict[str, list[float]] = {}
 
-            def run_once() -> Trace:
-                trace = Trace()
+            def three_hop(trace: Trace) -> None:
                 if mode == "oracle":
                     oracle_three_hop(store, query, trace=trace)
-                    with span(trace, STAGE_GENERIC):
+                else:
+                    three_hop_query(store, query, mode=mode, workers=w, trace=trace)
+
+            def generic(trace: Trace) -> None:
+                with span(trace, STAGE_GENERIC):
+                    if mode == "oracle":
                         oracle_beam_paths(
                             store, source, target, spec.generic_hops, spec.k, gamma=spec.gamma
                         )
-                else:
-                    three_hop_query(store, query, mode=mode, workers=w, trace=trace)
-                if mode == "optimized":
-                    with span(trace, STAGE_GENERIC):
+                    else:
                         multihop_reasoning_generic(
                             store, source, target, spec.generic_hops, spec.k,
                             workers=w, gamma=spec.gamma, trace=trace,
                         )
-                return trace
 
-            for _ in range(spec.warmups):
-                run_once()
-            for _ in range(spec.repetitions):
-                for s in run_once().spans:
-                    if s.name in STAGES:
-                        samples.setdefault(s.name, []).append((s.end_ns - s.start_ns) / 1e6)
+            # Each engine warms up and repeats in its own loop, so no generic
+            # sample runs right after a three-hop query's worker threads.
+            samples: dict[str, list[float]] = {}
+            for run_once in (three_hop,) if mode == "simple" else (three_hop, generic):
+                for _ in range(spec.warmups):
+                    run_once(Trace())
+                for _ in range(spec.repetitions):
+                    trace = Trace()
+                    run_once(trace)
+                    for s in trace.spans:
+                        if s.name in STAGES:
+                            samples.setdefault(s.name, []).append((s.end_ns - s.start_ns) / 1e6)
 
             for stage, values in samples.items():
                 ms = statistics.median(values)

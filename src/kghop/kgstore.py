@@ -8,7 +8,9 @@ reach it, and every array it exposes is read-only. It holds:
     whose row i belongs to ids[i] (the only copy of each embedding);
   * the (num_relations, dim) relation-embedding matrix;
   * per relation, an EdgeTable in CSR form: tails sorted by (head,
-    tail), a head -> tails-view index, and the cached head and tail sets.
+    tail), a head -> tails-view index, and the cached head and tail sets;
+  * the Layout of each of those sets that a hop has scored, built on
+    first use.
 
 Scalar lookups (one entity's embedding, one head's tails) go through
 dicts; the sorted arrays back the vectorized gather.
@@ -27,6 +29,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter_ns
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -42,6 +45,7 @@ from .errors import (
     RelationRangeError,
     shown,
 )
+from .trace import Trace, count
 
 U64_MAX = 2**64 - 1
 # How dataset files are opened. An undecodable byte becomes a lone
@@ -111,11 +115,17 @@ def _float_matrix(values, what: str) -> np.ndarray:
 def _u64_ids(ids, what: str = "entity id") -> np.ndarray:
     """ids as a uint64 array of the same shape; every id must pass require_id.
 
-    An unsigned array passes unchanged. Anything else is checked per
-    element, so ids above 2**63 are not rounded through float64.
+    An unsigned array passes unchanged, and a signed integer array is
+    checked in one pass and cast. Anything else is checked per element,
+    so ids above 2**63 are not rounded through float64.
     """
     if isinstance(ids, np.ndarray) and ids.dtype.kind == "u":
         return ids.astype(np.uint64, copy=False)
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "i":
+        flat = ids.ravel()
+        if flat.size and flat.min() < 0:
+            require_id(flat[np.argmax(flat < 0)].item(), what)
+        return ids.astype(np.uint64)
     ids = np.asarray(ids, dtype=object)
     for v in ids.ravel().tolist():
         require_id(v, what)
@@ -136,6 +146,85 @@ class EntitySet:
 
     def tolist(self) -> list[int]:
         return self.ids.tolist()
+
+
+# Rows per kd-tree leaf of a Layout. The paper-scale hop-3 sweep (one
+# worker, 30 queries x 3 rounds with the sizes interleaved, 2-core x86 VM)
+# took a median 9.81 / 9.28 / 9.74 ms with leaves of 16 / 32 / 64 rows on
+# generator seed 1, and 7.12 / 6.80 / 7.20 ms on seed 2.
+LEAF = 32
+# Rows a layout build copies at a time, so its temporaries stay small.
+_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A candidate set in kd-tree leaf order (Bentley, CACM 1975), for the hop-3 sweep.
+
+    Every array is read-only. Column i of the (dim, n) block `emb` is the
+    embedding of ids[i]. found[i] is False where ids[i] has none; those
+    members come last, with zero columns. Leaf l holds the members from
+    starts[l] to starts[l + 1], LEAF of them in every leaf but the last,
+    and lo[l], hi[l] are the per-dimension min and max of its found
+    members (+inf and -inf when it has none).
+    """
+
+    ids: np.ndarray
+    emb: np.ndarray
+    found: np.ndarray
+    starts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _kd_sort(block: np.ndarray) -> np.ndarray:
+    """Reorder the columns of a (dim, m) block in place into kd-tree leaf order.
+
+    Level by level, every segment of more than LEAF columns is sorted
+    along its widest dimension and split after half its leaves, rounded
+    up, so every leaf but the last holds LEAF columns. Rows are reordered
+    one at a time, so no temporary holds more than a few values per
+    column. Returns the permutation applied.
+    """
+    m = block.shape[1]
+    perm = np.arange(m)
+    bounds = np.array([0, m])
+    while True:
+        sizes = np.diff(bounds)
+        wide = sizes > LEAF
+        if not wide.any():
+            return perm
+        spread = (np.maximum.reduceat(block, bounds[:-1], axis=1)
+                  - np.minimum.reduceat(block, bounds[:-1], axis=1))
+        # the smallest dtype lets the stable sort by segment run as a radix sort
+        seg = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
+        by_value = np.argsort(block[spread.argmax(0)[seg], np.arange(m)])
+        order = by_value[np.argsort(seg[by_value], kind="stable")]
+        perm = perm[order]
+        for row in block:
+            row[:] = row[order]
+        halves = LEAF * ((-(-sizes[wide] // LEAF) + 1) // 2)
+        bounds = np.sort(np.concatenate([bounds, bounds[:-1][wide] + halves]))
+
+
+def _leaf_layout(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+                 found: np.ndarray) -> Layout:
+    """The Layout of ids, where ids[i] has row rows[i] of matrix if found[i]."""
+    present = np.flatnonzero(found)
+    (n, nf), dim = (len(ids), len(present)), matrix.shape[1]
+    emb = np.zeros((dim, n))
+    block, src = emb[:, :nf], rows[present]
+    for a in range(0, nf, _CHUNK):
+        block[:, a:a + _CHUNK] = matrix[src[a:a + _CHUNK]].T
+    order = np.concatenate([present[_kd_sort(block)], np.flatnonzero(~found)])
+    starts = np.append(np.arange(0, n, LEAF), n)
+    full = -(-nf // LEAF)  # the leaves holding a found member
+    lo = np.full((len(starts) - 1, dim), np.inf)
+    hi = np.full((len(starts) - 1, dim), -np.inf)
+    if nf:
+        lo[:full] = np.minimum.reduceat(block, starts[:full], axis=1).T
+        hi[:full] = np.maximum.reduceat(block, starts[:full], axis=1).T
+    return Layout(*map(_frozen, (ids[order], emb, found[order], starts, lo, hi)))
 
 
 class EdgeTable:
@@ -379,6 +468,10 @@ class KGStore:
             EdgeTable(r, heads[by_rel[lo:hi]], tails[by_rel[lo:hi]])
             for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
+        # The own sets live as long as the store, so their id() names them.
+        self._layouts: dict[int, Layout | None] = {
+            id(s): None for t in self.edge_tables for s in (t.head_set, t.tail_set)
+        }
 
     @property
     def num_relations(self) -> int:
@@ -406,6 +499,36 @@ class KGStore:
         self.require_relation(relation_id)
         return self.edge_tables[relation_id]
 
+    def _lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, found) of a uint64 id vector.
+
+        rows[i] is the matrix row of ids[i] where found[i], and 0 or
+        another entity's row elsewhere.
+        """
+        if self._ent_ids.size == 0:
+            return np.zeros(len(ids), np.intp), np.zeros(len(ids), bool)
+        rows = np.minimum(np.searchsorted(self._ent_ids, ids), len(self._ent_ids) - 1)
+        return rows, self._ent_ids[rows] == ids
+
+    def layout(self, candidates: EntitySet, trace: Trace | None = None) -> Layout:
+        """candidates as a Layout.
+
+        The layouts of the store's own edge-table head and tail sets are
+        built on first use and cached; any other set is built on every
+        call. Concurrent first uses may each build one; they are equal.
+        A build adds its time to the `layout_ns` count of trace's
+        innermost open span, which keeps a query's spans one per hop.
+        """
+        key = id(candidates)
+        built = self._layouts.get(key)
+        if built is None:
+            ids, start = candidates.ids, perf_counter_ns()
+            built = _leaf_layout(self._ent_matrix, ids, *self._lookup(ids))
+            count(trace, "layout_ns", perf_counter_ns() - start)
+            if key in self._layouts:
+                self._layouts[key] = built
+        return built
+
     def gather_entity_embeddings(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized embedding fetch for a 1-D array of ids, sorted or not.
 
@@ -423,9 +546,7 @@ class KGStore:
                 np.zeros((self.dim, n), dtype=np.float64),
                 np.zeros(n, dtype=bool),
             )
-        idx = np.searchsorted(self._ent_ids, ids)
-        idx_c = np.minimum(idx, len(self._ent_ids) - 1)
-        found = self._ent_ids[idx_c] == ids
+        idx_c, found = self._lookup(ids)
         rows = self._ent_matrix[np.where(found, idx_c, 0)]
         return np.ascontiguousarray(rows.T), found
 

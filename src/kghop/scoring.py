@@ -11,13 +11,15 @@ depends on which code path (or worker chunk) computed it. That makes
 results from the optimized engine, the locked baseline, and the
 sequential oracles exactly equal, not merely close.
 
-Many composites against one candidate block go through the compiled
-kernel `_hop3.c`, which scores the block and keeps each composite's
-exact top-k in one pass with the GIL released. Where it cannot be built,
-the numpy kernel runs instead: each composite is streamed through
-_score_block in turn, and its row goes straight to the exact per-row
-selection _row_topk, so one row (320 KB at 40k candidates) stays in L2
-cache between the two. Both give the same ids and the same bits.
+Many composites against one candidate set go through the compiled
+leaf-bound sweep `_hop3.c`, over the set's leaf layout from the store
+(KGStore.layout): it skips every kd-tree leaf whose score bound cannot
+reach a composite's top k, scores the rest, and keeps each composite's
+exact top-k, with the GIL released. Where it cannot be built, the numpy
+kernel runs instead: each composite is streamed through _score_block in
+turn, and its row goes straight to the exact per-row selection
+_row_topk, so one row (320 KB at 40k candidates) stays in L2 cache
+between the two. Both give the same ids and the same bits.
 """
 
 from __future__ import annotations
@@ -136,10 +138,10 @@ def score_candidates_topk_many(
 ) -> list:
     """Top-k candidates by TransE score against each of many composites.
 
-    Candidates are block-partitioned over the workers. Each worker
-    gathers its block once, then scores every composite against it and
-    keeps each one's exact top-k of its block, in one call to the
-    compiled kernel (or, without it, one numpy row at a time); the
+    With the compiled kernel, each worker sweeps alternate leaves of the
+    candidates' layout in one call, keeping every composite's exact
+    top-k of its leaves. Without it, each worker gathers a contiguous
+    block of the candidates and ranks one numpy row at a time. The
     stacked rankings are combined by the chosen reduction collective
     (tree or locked), every composite's merge riding the same rounds, so
     barrier count is O(log workers) per call however many composites
@@ -150,7 +152,8 @@ def score_candidates_topk_many(
     those yield None results. A composite or gamma that is not finite is
     an ArgumentError; raw candidate ids follow EntitySet's rule. Results
     are lists of ScoredEntity, best first, identical for any worker count
-    and either merge. Counts candidates × composites as `evals` into `trace`.
+    and either merge. Counts candidates × composites as `evals` into
+    `trace`, and the pairs the leaf bound skipped as `pruned`.
     """
     k = require_count(k, "k")
     workers = require_count(workers, "workers")
@@ -180,8 +183,10 @@ def score_candidates_topk_many(
 
     kernel = _hop3.load()
     comps = np.stack(live_comps)
+    layout = None if kernel is None else store.layout(candidates, trace)
     gang = WorkerGang(workers)
     locals_: list = [None] * workers
+    pruned = [0] * workers
 
     def combine(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The row-ranking merge: k best per row of two (ids, scores) rankings."""
@@ -193,15 +198,15 @@ def score_candidates_topk_many(
     final: list = [None]
 
     def work(wid: int) -> None:
-        lo, hi = block_bounds(n, workers, wid)
-        ids_blk = cand_ids[lo:hi]
-        emb_t, found = store.gather_entity_embeddings(ids_blk)
         if kernel is None:
+            lo, hi = block_bounds(n, workers, wid)
+            ids_blk = cand_ids[lo:hi]
+            emb_t, found = store.gather_entity_embeddings(ids_blk)
             ranked = [_row_topk(ids_blk, _score_block(emb_t, found, c, gamma), k) for c in comps]
             locals_[wid] = tuple(map(np.stack, zip(*ranked)))
         else:
-            idx, scores = _hop3.block_topk(kernel, emb_t, found, comps, gamma, min(k, hi - lo))
-            locals_[wid] = (ids_blk[idx], scores)
+            pos, scores, pruned[wid] = _hop3.leaf_topk(kernel, layout, comps, gamma, k, wid, workers)
+            locals_[wid] = (layout.ids[pos], scores)
         gang.barrier.wait()
         if merge == "tree":
             res = reduce_topk_tree(locals_, workers, wid, gang.barrier, combine=combine)
@@ -211,6 +216,7 @@ def score_candidates_topk_many(
             final[0] = res
 
     gang.run(work)
+    count(trace, "pruned", sum(pruned))
     ids_mat, scores_mat = final[0]
     for row, qi in enumerate(live_idx):
         out[qi] = [

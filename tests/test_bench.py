@@ -99,6 +99,20 @@ class TestRunBench:
         assert any("oversubscribed" in str(w.message) for w in caught)
         assert any(r.workers == cpus * 4 for r in records)
 
+    def test_generic_stage_is_timed_in_its_own_loop(self):
+        # a generic sample timed right after a threaded hop 3 reads that hop's cost
+        calls = []
+        spec = tiny_spec(modes=("optimized",), workers=(1, 2), warmups=1)
+        with mock.patch("kghop.bench._cross_check"), \
+                mock.patch("kghop.bench.three_hop_query",
+                           lambda *a, **kw: calls.append(("three_hop", kw["workers"]))), \
+                mock.patch("kghop.bench.multihop_reasoning_generic",
+                           lambda *a, **kw: calls.append(("generic", kw["workers"]))):
+            run_bench(spec)
+        runs = spec.warmups + spec.repetitions
+        assert calls == [(engine, w) for w in (1, 2) for engine in ("three_hop", "generic")
+                         for _ in range(runs)]
+
     def test_same_seed_same_grid(self):
         a = run_bench(tiny_spec())
         b = run_bench(tiny_spec())

@@ -1,4 +1,4 @@
-"""The compiled hop-3 kernel against its numpy fallback, bit for bit."""
+"""The compiled hop-3 leaf sweep against its numpy fallback, bit for bit."""
 
 import subprocess
 from unittest import mock
@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kghop import _hop3
+from kghop import _hop3, kgstore
 from kghop.bench import kernel_name
-from kghop.kgstore import EntitySet
+from kghop.kgstore import EntitySet, KGStore
 from kghop.scoring import _row_topk, _score_block, score_candidates_topk_many
+from kghop.trace import Trace, span
 
 from helpers import make_store, ref_brute_force_scores, ref_topk
 
@@ -75,21 +76,123 @@ def test_compiled_kernel_matches_numpy_bit_for_bit(case):
     assert bits(compiled) == bits(fallback)
 
 
+@st.composite
+def multi_leaf_instances(draw):
+    """Like instances, but with n from 33 to 3,000 candidates, so the sweep spans many leaves.
+
+    Grid components put equal scores on both sides of leaf boundaries. A
+    drawn share of the candidates has no embedding: those ids interleave
+    with the found ones, and in leaf order they fill the last found leaf
+    and the leaves after it.
+    """
+    n = draw(st.integers(33, 3000))
+    dim = draw(st.sampled_from([1, 2, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = draw(st.booleans())
+
+    def vectors(count):
+        if tied:
+            return rng.choice([-1.0, 0.0, 0.5, 1.0], (count, dim))
+        return rng.normal(0, 1, (count, dim))
+
+    ids = np.sort(rng.choice(4 * n, n, replace=False)).astype(np.uint64)
+    found = rng.random(n) >= draw(st.sampled_from([0.0, 0.05, 0.5, 0.97]))
+    matrix = vectors(n)
+    store = KGStore(ids[found], matrix[found], np.zeros((1, dim)),
+                    *(np.empty(0, np.uint64),) * 3)
+    comps = [None if i and draw(st.booleans()) else v
+             for i, v in enumerate(vectors(draw(st.integers(1, 6))))]
+    if found.any() and draw(st.booleans()):
+        comps[0] = matrix[np.flatnonzero(found)[0]]  # zero distance: a score of gamma exactly
+    k = draw(st.sampled_from([1, 2, 50, n - 1, n, n + 3, 2**64]))
+    gamma = draw(st.sampled_from([1.0, -0.0, 2.5]))
+    workers = draw(st.integers(1, 4))
+    merge = draw(st.sampled_from(["tree", "locked"]))
+    return comps, EntitySet(ids), store, k, workers, gamma, merge
+
+
+@needs_compiler
+@settings(max_examples=300, deadline=None)
+@given(case=multi_leaf_instances())
+def test_leaf_sweep_matches_numpy_across_leaves(case):
+    compiled = score_candidates_topk_many(*case)
+    with numpy_only():
+        fallback = score_candidates_topk_many(*case)
+    assert bits(compiled) == bits(fallback)
+
+
+@needs_compiler
+def test_sweep_prunes_clustered_candidates_exactly():
+    # tight clusters far apart: every composite's top k sits in one cluster
+    rng = np.random.default_rng(16)
+    centres = rng.normal(0, 10, (20, 8))
+    matrix = np.repeat(centres, 100, axis=0) + rng.normal(0, 0.01, (2000, 8))
+    ids = rng.permutation(2000).astype(np.uint64)
+    store = KGStore(ids, matrix, np.zeros((1, 8)), *(np.empty(0, np.uint64),) * 3)
+    comps = list(centres[:5] + 0.05)
+    for workers in (1, 2):
+        trace = Trace()
+        with span(trace, "hop"):
+            got = score_candidates_topk_many(comps, ids, store, 10, workers, trace=trace)
+        [hop] = trace.spans
+        assert hop.counts["evals"] == 5 * 2000
+        assert hop.counts["pruned"] > 0.5 * 5 * 2000
+        with numpy_only():
+            assert bits(got) == bits(score_candidates_topk_many(comps, ids, store, 10, workers))
+
+
+def test_layout_is_built_once_per_store_set():
+    store = make_store(2, 1, [(1, 0, 2), (1, 0, 3)], {i: [float(i), 0.0] for i in range(4)},
+                       [[0.0, 0.0]])
+    tails = store.edge_table(0).tail_set
+    with mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build:
+        trace = Trace()
+        assert store.layout(tails, trace) is store.layout(tails, trace)
+        assert build.call_count == 1 and trace.counts["layout_ns"] > 0
+        mine = EntitySet(tails.ids)
+        assert store.layout(mine) is not store.layout(mine)
+        assert build.call_count == 3
+    assert store.layout(tails).ids.tolist() == [2, 3]
+
+
+@needs_compiler
+def test_caller_made_set_is_scored_without_being_cached():
+    rng = np.random.default_rng(61)
+    store = make_store(3, 1, [(0, 0, i) for i in range(100)],
+                       {i: rng.choice([0.0, 1.0], 3) for i in range(100) if i % 9}, [[0.0] * 3])
+    mine = EntitySet(np.arange(0, 120, dtype=np.uint64))
+    comps = list(rng.choice([0.0, 1.0], (3, 3)))
+    with mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build:
+        got = [score_candidates_topk_many(comps, mine, store, 40, 2) for _ in range(2)]
+        assert build.call_count == 2
+    with numpy_only():
+        want = score_candidates_topk_many(comps, mine, store, 40, 2)
+    assert bits(got[0]) == bits(got[1]) == bits(want)
+
+
+def leaf_store(n, seed):
+    """n candidates with grid embeddings, about a tenth of them without one."""
+    rng = np.random.default_rng(seed)
+    found = rng.random(n) > 0.1
+    matrix = rng.choice([-0.5, 0.0, 0.25], (n, 8))
+    store = KGStore(np.flatnonzero(found).astype(np.uint64), matrix[found], np.zeros((1, 8)),
+                    *(np.empty(0, np.uint64),) * 3)
+    return store, EntitySet(np.arange(n, dtype=np.uint64)), rng
+
+
 @needs_compiler
 @pytest.mark.parametrize("n", [511, 512, 513, 1500])
 @pytest.mark.parametrize("k", [1, 50, 600, 2000])
 def test_block_topk_across_block_boundaries(n, k):
-    # the kernel walks candidates in blocks of 512; ties and missing rows cross them
-    rng = np.random.default_rng(n * 7 + k)
-    emb_t = rng.choice([-0.5, 0.0, 0.25], (8, n))
-    found = rng.random(n) > 0.1
+    # the kernel sweeps the candidates in kd-tree leaves of LEAF rows; ties and missing rows cross them
+    store, cands, rng = leaf_store(n, n * 7 + k)
+    layout = store.layout(cands)
     comps = rng.choice([-0.5, 0.0, 0.25], (4, 8))
-    kk = min(k, n)
-    idx, scores = _hop3.block_topk(_hop3.load(), emb_t, found, comps, 1.0, kk)
-    local = np.arange(n)
+    pos, scores, _ = _hop3.leaf_topk(_hop3.load(), layout, comps, 1.0, k)
+    emb_t, found = store.gather_entity_embeddings(cands.ids)
     for row, comp in enumerate(comps):
-        want_idx, want = _row_topk(local, _score_block(emb_t, found, comp, 1.0), k)
-        assert idx[row].tolist() == want_idx.tolist()
+        want_ids, want = _row_topk(cands.ids, _score_block(emb_t, found, comp, 1.0), k)
+        assert layout.ids[pos[row]].tolist() == want_ids.tolist()
         assert scores[row].view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -136,5 +239,8 @@ def test_built_library_is_cached_by_source_and_command(tmp_path):
 
 
 def test_block_topk_rejects_a_mismatched_block():
-    with pytest.raises(ValueError):
-        _hop3.block_topk(None, np.zeros((2, 3)), np.ones(3, bool), np.zeros((1, 2)), 1.0, 4)
+    store, cands, _ = leaf_store(100, 3)
+    layout = store.layout(cands)
+    for comps, first, step in ((np.zeros((1, 7)), 0, 1), (np.zeros((1, 8)), 2, 2)):
+        with pytest.raises(ValueError):
+            _hop3.leaf_topk(None, layout, comps, 1.0, 4, first, step)

@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kghop.errors import (
     QueryError,
     RelationRangeError,
 )
+from kghop import kgstore
 from kghop.generator import GeneratorSpec, generate, load_labels
 from kghop.kgstore import (
     U64_MAX,
@@ -302,6 +304,18 @@ class TestEntityIndex:
 
 
 class TestKGStore:
+    def test_signed_ids_are_checked_in_one_pass(self):
+        store = make_store(2, 1, [], {1: [1.0, 2.0], 2**40: [3.0, 4.0]}, [[0.0, 0.0]])
+        ids = np.array([[2**40, 7], [1, 0]], dtype=np.int64)
+        with mock.patch.object(kgstore, "require_id", side_effect=AssertionError):
+            signed = kgstore._u64_ids(ids)
+            emb_t, found = store.gather_entity_embeddings(ids[0])
+        assert signed.dtype == np.uint64 and signed.tolist() == ids.astype(np.uint64).tolist()
+        want_t, want_found = store.gather_entity_embeddings(ids[0].astype(np.uint64))
+        assert emb_t.tobytes() == want_t.tobytes() and found.tolist() == want_found.tolist()
+        with pytest.raises(QueryError, match="entity id -5 is not"):
+            kgstore._u64_ids(np.array([3, -5, -1], dtype=np.int32))
+
     def test_gather_found_and_missing(self):
         store = make_store(
             dim=2,
