@@ -1,11 +1,13 @@
-/* Hop 3's leaf-bound sweep over a candidate set in kd-tree leaf order.
+/* Hop 3's leaf-bound sweep over a candidate set in kd-tree leaf order, and
+ * the kd-tree order itself.
  *
  * emb is the (dim, n) block of the set, ids its entity ids, found[i] 0 where
- * member i has no embedding (it scores -inf). Leaf l holds members starts[l]
- * to starts[l + 1]; lo, hi (leaves, dim) are the per-dimension min and max of
- * its found members, +inf and -inf when it has none. comps is (rows, dim).
- * The caller's worker takes leaves first, first + step, ...; pos, out
- * (rows, kk) get each row's best kk of them by (score desc, id asc).
+ * member i has no embedding (it scores -inf). Leaf l holds members l * leaf
+ * up to (l + 1) * leaf, the last leaf fewer; lo, hi (leaves, dim) are the
+ * per-dimension min and max of its found members, +inf and -inf when it has
+ * none. comps is (rows, dim). The caller's worker takes leaves first,
+ * first + step, ...; pos, out (rows, kk) get each row's best kk of them by
+ * (score desc, id asc).
  *
  * A score is gamma - sum_j |x_j - c_j|, summed j ascending like the numpy
  * kernel's; a vector lane holds one member, so the bits match.
@@ -29,12 +31,12 @@
  * The sweep is leaf-major: each row first scores its SEEDS best-bound
  * leaves, which fills it and sets its threshold; then each leaf is visited
  * once and scored for every row whose threshold its bound reaches, while
- * its block stays in cache. Returns the number of (member, row) pairs
- * skipped, or -1 when scratch memory cannot be had. */
+ * its block stays in cache. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #define SEEDS 4
+#define SPREAD_SAMPLE 512
 
 static double leaf_bound(const double *lo, const double *hi, const double *c, int64_t dim,
                          double gamma)
@@ -78,20 +80,18 @@ static void score_leaf(const double *emb, const uint8_t *found, const uint64_t *
     }
 }
 
+/* Returns the number of (member, row) pairs skipped, or -1 when scratch
+ * memory cannot be had. */
 int64_t leaf_topk(const double *emb, const uint8_t *found, const uint64_t *ids, int64_t n,
-                  const int64_t *starts, const double *lo, const double *hi, int64_t leaves,
-                  int64_t first, int64_t step, const double *comps, int64_t rows, int64_t dim,
-                  double gamma, int64_t kk, int64_t *pos, double *out)
+                  int64_t leaf, const double *lo, const double *hi, int64_t first, int64_t step,
+                  const double *comps, int64_t rows, int64_t dim, double gamma, int64_t kk,
+                  int64_t *pos, double *out)
 {
-    int64_t mine = first < leaves ? (leaves - first + step - 1) / step : 0, widest = 0;
+    int64_t leaves = (n + leaf - 1) / leaf;
+    int64_t mine = first < leaves ? (leaves - first + step - 1) / step : 0;
     if (kk <= 0 || mine == 0)
         return 0;
-    for (int64_t t = 0; t < mine; t++) {
-        int64_t l = first + t * step;
-        if (starts[l + 1] - starts[l] > widest)
-            widest = starts[l + 1] - starts[l];
-    }
-    double *bound = malloc(sizeof(double) * (rows * mine + widest));
+    double *bound = malloc(sizeof(double) * (rows * mine + leaf));
     int64_t *seed = malloc(sizeof(int64_t) * rows * (SEEDS + 1));
     if (bound == NULL || seed == NULL) {
         free(bound);
@@ -119,13 +119,13 @@ int64_t leaf_topk(const double *emb, const uint8_t *found, const uint64_t *ids, 
             sd[s] = -1;
         cnt[r] = 0;
         for (int64_t s = 0; s < ns; s++) {
-            int64_t l = first + sd[s] * step;
-            score_leaf(emb, found, ids, n, starts[l], starts[l + 1] - starts[l], c, dim, gamma,
-                       acc, kk, cnt + r, pos + r * kk, out + r * kk);
+            int64_t a = (first + sd[s] * step) * leaf;
+            score_leaf(emb, found, ids, n, a, n - a < leaf ? n - a : leaf, c, dim, gamma, acc,
+                       kk, cnt + r, pos + r * kk, out + r * kk);
         }
     }
     for (int64_t t = 0; t < mine; t++) {
-        int64_t l = first + t * step, a = starts[l], m = starts[l + 1] - a;
+        int64_t a = (first + t * step) * leaf, m = n - a < leaf ? n - a : leaf;
         for (int64_t r = 0; r < rows; r++) {
             const int64_t *sd = seed + r * SEEDS;
             int seeded = 0;
@@ -144,4 +144,96 @@ int64_t leaf_topk(const double *emb, const uint8_t *found, const uint64_t *ids, 
     free(bound);
     free(seed);
     return pruned;
+}
+
+/* Move the members of key[a .. b) that pass the test to its front, perm
+ * alongside, without a branch on the keys; w ends past that front. */
+#define PARTITION(test)                                                        \
+    for (int64_t i = a; i < b; i++) {                                          \
+        double k = key[i];                                                     \
+        int64_t q = perm[i], take = (test);                                    \
+        key[i] = key[w];                                                       \
+        perm[i] = perm[w];                                                     \
+        key[w] = k;                                                            \
+        perm[w] = q;                                                           \
+        w += take;                                                             \
+    }
+
+/* Reorder key[a .. b), and perm[a .. b) alongside, so that key[nth] holds the
+ * value of rank nth - a, none before it greater and none after it smaller.
+ * Quickselect with a median-of-three pivot value p: one pass moves the keys
+ * below p to the front; when nth falls past them, a second pass over the
+ * rest moves the keys equal to p next. Each round keeps a part without the
+ * pivot's key, so it ends even when every key is equal. */
+static void select_nth(double *key, int64_t *perm, int64_t a, int64_t b, int64_t nth)
+{
+    while (b - a > 1) {
+        double p0 = key[a], p1 = key[a + (b - a) / 2], p2 = key[b - 1];
+        double p = p0 < p1 ? (p1 < p2 ? p1 : (p0 < p2 ? p2 : p0))
+                           : (p0 < p2 ? p0 : (p1 < p2 ? p2 : p1));
+        int64_t w = a;
+        PARTITION(k < p)
+        if (nth < w) {
+            b = w;
+            continue;
+        }
+        a = w;
+        PARTITION(k == p)
+        if (nth < w)
+            return;
+        a = w;
+    }
+}
+#undef PARTITION
+
+/* Reorder perm[a .. b), members whose rows of x are rows[perm[i]], into
+ * kd-tree leaf order (Bentley, CACM 1975): a segment of more than leaf
+ * members is split along its widest dimension after half its leaves, rounded
+ * up, so every leaf but the last is full. The widest dimension (the first,
+ * among equals) is taken over about SPREAD_SAMPLE evenly spaced members; it
+ * steers how tight the leaves are, never which members are scored exactly.
+ * key, lo and hi are scratch: as long as perm, and dim long. */
+static void kd_split(const double *restrict x, int64_t dim, const int64_t *restrict rows,
+                     int64_t *restrict perm, int64_t a, int64_t b, int64_t leaf,
+                     double *restrict key, double *restrict lo, double *restrict hi)
+{
+    while (b - a > leaf) {
+        for (int64_t j = 0; j < dim; j++) {
+            lo[j] = INFINITY;
+            hi[j] = -INFINITY;
+        }
+        for (int64_t i = a; i < b; i += 1 + (b - a) / SPREAD_SAMPLE) {
+            const double *v = x + rows[perm[i]] * dim;
+            for (int64_t j = 0; j < dim; j++) {
+                lo[j] = v[j] < lo[j] ? v[j] : lo[j];
+                hi[j] = v[j] > hi[j] ? v[j] : hi[j];
+            }
+        }
+        int64_t d = 0;
+        for (int64_t j = 1; j < dim; j++)
+            if (hi[j] - lo[j] > hi[d] - lo[d])
+                d = j;
+        for (int64_t i = a; i < b; i++)
+            key[i] = x[rows[perm[i]] * dim + d];
+        int64_t mid = a + leaf * (((b - a + leaf - 1) / leaf + 1) / 2);
+        select_nth(key, perm, a, b, mid);
+        kd_split(x, dim, rows, perm, a, mid, leaf, key, lo, hi);
+        a = mid;
+    }
+}
+
+/* Fill perm[0 .. m) with the kd-tree leaf order of the m members whose
+ * embeddings are rows rows[0 .. m) of x: perm[i] is the member at position i.
+ * Returns -1 when scratch memory cannot be had, else 0. */
+int64_t kd_order(const double *x, int64_t dim, const int64_t *rows, int64_t m, int64_t leaf,
+                 int64_t *perm)
+{
+    double *key = malloc(sizeof(double) * (m + 2 * dim + 1));
+    if (key == NULL)
+        return -1;
+    for (int64_t i = 0; i < m; i++)
+        perm[i] = i;
+    kd_split(x, dim, rows, perm, 0, m, leaf, key, key + m, key + m + dim);
+    free(key);
+    return 0;
 }

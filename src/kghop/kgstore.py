@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _hop3
 from .errors import (
     ArgumentError,
     CompletenessError,
@@ -148,11 +149,6 @@ class EntitySet:
         return self.ids.tolist()
 
 
-# Rows per kd-tree leaf of a Layout. The paper-scale hop-3 sweep (one
-# worker, 30 queries x 3 rounds with the sizes interleaved, 2-core x86 VM)
-# took a median 9.81 / 9.28 / 9.74 ms with leaves of 16 / 32 / 64 rows on
-# generator seed 1, and 7.12 / 6.80 / 7.20 ms on seed 2.
-LEAF = 32
 # Rows a layout build copies at a time, so its temporaries stay small.
 _CHUNK = 4096
 
@@ -164,67 +160,43 @@ class Layout:
     Every array is read-only. Column i of the (dim, n) block `emb` is the
     embedding of ids[i]. found[i] is False where ids[i] has none; those
     members come last, with zero columns. Leaf l holds the members from
-    starts[l] to starts[l + 1], LEAF of them in every leaf but the last,
-    and lo[l], hi[l] are the per-dimension min and max of its found
-    members (+inf and -inf when it has none).
+    l * LEAF up to (l + 1) * LEAF (LEAF = _hop3.LEAF), the last leaf
+    fewer, and lo[l], hi[l] are the per-dimension min and max of its found
+    members (+inf and -inf when it has none). Only a layout built with
+    `kd` puts its found members in kd-tree leaf order; any other keeps
+    their given order.
     """
 
     ids: np.ndarray
     emb: np.ndarray
     found: np.ndarray
-    starts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
 
-def _kd_sort(block: np.ndarray) -> np.ndarray:
-    """Reorder the columns of a (dim, m) block in place into kd-tree leaf order.
-
-    Level by level, every segment of more than LEAF columns is sorted
-    along its widest dimension and split after half its leaves, rounded
-    up, so every leaf but the last holds LEAF columns. Rows are reordered
-    one at a time, so no temporary holds more than a few values per
-    column. Returns the permutation applied.
-    """
-    m = block.shape[1]
-    perm = np.arange(m)
-    bounds = np.array([0, m])
-    while True:
-        sizes = np.diff(bounds)
-        wide = sizes > LEAF
-        if not wide.any():
-            return perm
-        spread = (np.maximum.reduceat(block, bounds[:-1], axis=1)
-                  - np.minimum.reduceat(block, bounds[:-1], axis=1))
-        # the smallest dtype lets the stable sort by segment run as a radix sort
-        seg = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
-        by_value = np.argsort(block[spread.argmax(0)[seg], np.arange(m)])
-        order = by_value[np.argsort(seg[by_value], kind="stable")]
-        perm = perm[order]
-        for row in block:
-            row[:] = row[order]
-        halves = LEAF * ((-(-sizes[wide] // LEAF) + 1) // 2)
-        bounds = np.sort(np.concatenate([bounds, bounds[:-1][wide] + halves]))
-
-
 def _leaf_layout(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray,
-                 found: np.ndarray) -> Layout:
-    """The Layout of ids, where ids[i] has row rows[i] of matrix if found[i]."""
+                 found: np.ndarray, kd: bool) -> Layout:
+    """The Layout of ids, where ids[i] has row rows[i] of matrix if found[i].
+
+    With kd, and the compiled kernel, the found members go in kd-tree order.
+    """
     present = np.flatnonzero(found)
     (n, nf), dim = (len(ids), len(present)), matrix.shape[1]
+    lib = _hop3.load() if kd else None
+    if lib is not None:
+        present = present[_hop3.kd_order(lib, matrix, rows[present])]
     emb = np.zeros((dim, n))
     block, src = emb[:, :nf], rows[present]
     for a in range(0, nf, _CHUNK):
         block[:, a:a + _CHUNK] = matrix[src[a:a + _CHUNK]].T
-    order = np.concatenate([present[_kd_sort(block)], np.flatnonzero(~found)])
-    starts = np.append(np.arange(0, n, LEAF), n)
-    full = -(-nf // LEAF)  # the leaves holding a found member
-    lo = np.full((len(starts) - 1, dim), np.inf)
-    hi = np.full((len(starts) - 1, dim), -np.inf)
+    order = np.concatenate([present, np.flatnonzero(~found)])
+    starts = np.arange(0, nf, _hop3.LEAF)  # the leaves holding a found member
+    lo = np.full((-(-n // _hop3.LEAF), dim), np.inf)
+    hi = np.full_like(lo, -np.inf)
     if nf:
-        lo[:full] = np.minimum.reduceat(block, starts[:full], axis=1).T
-        hi[:full] = np.maximum.reduceat(block, starts[:full], axis=1).T
-    return Layout(*map(_frozen, (ids[order], emb, found[order], starts, lo, hi)))
+        lo[:len(starts)] = np.minimum.reduceat(block, starts, axis=1).T
+        hi[:len(starts)] = np.maximum.reduceat(block, starts, axis=1).T
+    return Layout(*map(_frozen, (ids[order], emb, found[order], lo, hi)))
 
 
 class EdgeTable:
@@ -513,19 +485,22 @@ class KGStore:
     def layout(self, candidates: EntitySet, trace: Trace | None = None) -> Layout:
         """candidates as a Layout.
 
-        The layouts of the store's own edge-table head and tail sets are
-        built on first use and cached; any other set is built on every
-        call. Concurrent first uses may each build one; they are equal.
-        A build adds its time to the `layout_ns` count of trace's
-        innermost open span, which keeps a query's spans one per hop.
+        The store's own edge-table head and tail sets are laid out in
+        kd-tree leaf order on first use, and cached. Any other set is laid
+        out in its given order on every call: a kd order costs about as
+        much to build as it saves a 40,000-member hop 3 of 50 composites,
+        so it pays only for a set that is swept again. Concurrent first
+        uses may each build one; they are equal. A build adds its time to
+        the `layout_ns` count of trace's innermost open span, which keeps
+        a query's spans one per hop.
         """
         key = id(candidates)
         built = self._layouts.get(key)
         if built is None:
-            ids, start = candidates.ids, perf_counter_ns()
-            built = _leaf_layout(self._ent_matrix, ids, *self._lookup(ids))
+            ids, start, own = candidates.ids, perf_counter_ns(), key in self._layouts
+            built = _leaf_layout(self._ent_matrix, ids, *self._lookup(ids), kd=own)
             count(trace, "layout_ns", perf_counter_ns() - start)
-            if key in self._layouts:
+            if own:
                 self._layouts[key] = built
         return built
 

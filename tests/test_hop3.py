@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kghop import _hop3, kgstore
+from kghop import _hop3, generic, kgstore
 from kghop.bench import kernel_name
+from kghop.generator import GeneratorSpec, generate
 from kghop.kgstore import EntitySet, KGStore
+from kghop.pipeline import ThreeHopQuery, three_hop_query
 from kghop.scoring import _row_topk, _score_block, score_candidates_topk_many
 from kghop.trace import Trace, span
 
@@ -76,14 +78,27 @@ def test_compiled_kernel_matches_numpy_bit_for_bit(case):
     assert bits(compiled) == bits(fallback)
 
 
+def tail_set_store(ids, found, matrix):
+    """A store where ids[found] have rows matrix[found], and ids are the tails of relation 0.
+
+    Returns the store and its own tail set, which it lays out in kd-tree order.
+    """
+    dim = matrix.shape[1]
+    store = KGStore(ids[found], matrix[found], np.zeros((1, dim)),
+                    np.zeros(len(ids), np.uint64), np.zeros(len(ids), np.uint64), ids)
+    return store, store.edge_table(0).tail_set
+
+
 @st.composite
 def multi_leaf_instances(draw):
     """Like instances, but with n from 33 to 3,000 candidates, so the sweep spans many leaves.
 
-    Grid components put equal scores on both sides of leaf boundaries. A
-    drawn share of the candidates has no embedding: those ids interleave
-    with the found ones, and in leaf order they fill the last found leaf
-    and the leaves after it.
+    The candidates are the store's own tail set, laid out in kd-tree
+    order, or a caller-made set in id order. Grid components put equal
+    scores on both sides of leaf boundaries. A drawn share of the
+    candidates has no embedding: those ids interleave with the found
+    ones, and in leaf order they fill the last found leaf and the leaves
+    after it.
     """
     n = draw(st.integers(33, 3000))
     dim = draw(st.sampled_from([1, 2, 8]))
@@ -98,8 +113,9 @@ def multi_leaf_instances(draw):
     ids = np.sort(rng.choice(4 * n, n, replace=False)).astype(np.uint64)
     found = rng.random(n) >= draw(st.sampled_from([0.0, 0.05, 0.5, 0.97]))
     matrix = vectors(n)
-    store = KGStore(ids[found], matrix[found], np.zeros((1, dim)),
-                    *(np.empty(0, np.uint64),) * 3)
+    store, cands = tail_set_store(ids, found, matrix)
+    if not draw(st.booleans()):
+        cands = EntitySet(ids)
     comps = [None if i and draw(st.booleans()) else v
              for i, v in enumerate(vectors(draw(st.integers(1, 6))))]
     if found.any() and draw(st.booleans()):
@@ -108,7 +124,7 @@ def multi_leaf_instances(draw):
     gamma = draw(st.sampled_from([1.0, -0.0, 2.5]))
     workers = draw(st.integers(1, 4))
     merge = draw(st.sampled_from(["tree", "locked"]))
-    return comps, EntitySet(ids), store, k, workers, gamma, merge
+    return comps, cands, store, k, workers, gamma, merge
 
 
 @needs_compiler
@@ -128,17 +144,17 @@ def test_sweep_prunes_clustered_candidates_exactly():
     centres = rng.normal(0, 10, (20, 8))
     matrix = np.repeat(centres, 100, axis=0) + rng.normal(0, 0.01, (2000, 8))
     ids = rng.permutation(2000).astype(np.uint64)
-    store = KGStore(ids, matrix, np.zeros((1, 8)), *(np.empty(0, np.uint64),) * 3)
+    store, cands = tail_set_store(ids, np.ones(2000, bool), matrix)
     comps = list(centres[:5] + 0.05)
     for workers in (1, 2):
         trace = Trace()
         with span(trace, "hop"):
-            got = score_candidates_topk_many(comps, ids, store, 10, workers, trace=trace)
+            got = score_candidates_topk_many(comps, cands, store, 10, workers, trace=trace)
         [hop] = trace.spans
         assert hop.counts["evals"] == 5 * 2000
         assert hop.counts["pruned"] > 0.5 * 5 * 2000
         with numpy_only():
-            assert bits(got) == bits(score_candidates_topk_many(comps, ids, store, 10, workers))
+            assert bits(got) == bits(score_candidates_topk_many(comps, cands, store, 10, workers))
 
 
 def test_layout_is_built_once_per_store_set():
@@ -164,27 +180,28 @@ def test_caller_made_set_is_scored_without_being_cached():
     comps = list(rng.choice([0.0, 1.0], (3, 3)))
     with mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build:
         got = [score_candidates_topk_many(comps, mine, store, 40, 2) for _ in range(2)]
-        assert build.call_count == 2
+        assert build.call_count == 2 and not build.call_args.kwargs["kd"]
+    found = np.array([i % 9 != 0 for i in range(120)]) & (np.arange(120) < 100)
+    order = np.concatenate([np.flatnonzero(found), np.flatnonzero(~found)])
+    assert store.layout(mine).ids.tolist() == order.tolist()  # the given order, found first
     with numpy_only():
         want = score_candidates_topk_many(comps, mine, store, 40, 2)
     assert bits(got[0]) == bits(got[1]) == bits(want)
 
 
 def leaf_store(n, seed):
-    """n candidates with grid embeddings, about a tenth of them without one."""
+    """The store's own set of n candidates with grid embeddings, about a tenth without one."""
     rng = np.random.default_rng(seed)
     found = rng.random(n) > 0.1
     matrix = rng.choice([-0.5, 0.0, 0.25], (n, 8))
-    store = KGStore(np.flatnonzero(found).astype(np.uint64), matrix[found], np.zeros((1, 8)),
-                    *(np.empty(0, np.uint64),) * 3)
-    return store, EntitySet(np.arange(n, dtype=np.uint64)), rng
+    return *tail_set_store(np.arange(n, dtype=np.uint64), found, matrix), rng
 
 
 @needs_compiler
 @pytest.mark.parametrize("n", [511, 512, 513, 1500])
 @pytest.mark.parametrize("k", [1, 50, 600, 2000])
 def test_block_topk_across_block_boundaries(n, k):
-    # the kernel sweeps the candidates in kd-tree leaves of LEAF rows; ties and missing rows cross them
+    # kd-tree leaves of LEAF rows, with grid ties and missing rows across their boundaries
     store, cands, rng = leaf_store(n, n * 7 + k)
     layout = store.layout(cands)
     comps = rng.choice([-0.5, 0.0, 0.25], (4, 8))
@@ -244,3 +261,34 @@ def test_block_topk_rejects_a_mismatched_block():
     for comps, first, step in ((np.zeros((1, 7)), 0, 1), (np.zeros((1, 8)), 2, 2)):
         with pytest.raises(ValueError):
             _hop3.leaf_topk(None, layout, comps, 1.0, 4, first, step)
+
+
+@needs_compiler
+@pytest.mark.parametrize("m", [0, 1, 32, 33, 1000])
+def test_kd_order_in_one_dimension_sorts_leaf_by_leaf(m):
+    # with one dimension every split is on it, so each leaf holds no key above the next leaf's
+    rng = np.random.default_rng(m)
+    for values in (rng.normal(size=m), rng.choice([0.0, 1.0], m), np.zeros(m)):
+        rows = rng.permutation(m)
+        perm = _hop3.kd_order(_hop3.load(), values.reshape(m, 1), rows)
+        assert sorted(perm.tolist()) == list(range(m))
+        keys = values[rows[perm]]
+        for cut in range(_hop3.LEAF, m, _hop3.LEAF):
+            assert keys[:cut].max() <= keys[cut:].min()
+
+
+@needs_compiler
+def test_three_hop_query_gathers_nothing_and_lays_out_hop_1_and_3_once():
+    ds = generate(GeneratorSpec(num_entities=3000, num_persons=400, num_universities=2000,
+                                num_edges=3000, seed=16))
+    store = ds.build_store()
+    q = ThreeHopQuery(ds.award_anchor, 0, ds.field_anchor, 1, 2, k=20)
+    with (mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build,
+          mock.patch.object(KGStore, "gather_entity_embeddings") as gather,
+          mock.patch.object(generic, "expand_path") as expand):
+        got = [three_hop_query(store, q) for _ in range(2)]
+    assert gather.call_count == expand.call_count == 0
+    # hops 1 and 3 score the store's own sets, in kd order, once; hop 2's K persons every query
+    assert [c.kwargs["kd"] for c in build.call_args_list] == [True, False, True, False]
+    with numpy_only():
+        assert got[0] == got[1] == three_hop_query(store, q)
