@@ -29,13 +29,23 @@
  *    is not id order, so ids, never positions, break ties.
  *
  * The sweep is leaf-major: each row first scores its SEEDS best-bound
- * leaves, which fills it and sets its threshold; then each leaf is visited
+ * leaves, best first and only while their bound reaches its k-th score,
+ * which fills it and sets its threshold; then each leaf is visited
  * once and scored for every row whose threshold its bound reaches, while
- * its block stays in cache. */
+ * its block stays in cache. The bounds and the seeded marks are stored leaf
+ * by leaf, so the rows of one leaf sit side by side.
+ *
+ * SEEDS sets how close the threshold starts to the row's final k-th score,
+ * and so how many pairs the sweep scores. On paper-scale generator data
+ * (50 composites, 40,000 candidates, 60 queries per seed, seeds 1-10 and
+ * 201-205) 4 seeds scored 0.360-0.494 of the pairs, depending on the seed,
+ * and 32 scored 0.336-0.368, against 0.323-0.351 for the leaves whose bound
+ * reaches the final k-th score. Scoring 32 seeds per row costs no more than
+ * it saves. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#define SEEDS 4
+#define SEEDS 32
 #define SPREAD_SAMPLE 512
 
 static double leaf_bound(const double *lo, const double *hi, const double *c, int64_t dim,
@@ -93,47 +103,54 @@ int64_t leaf_topk(const double *emb, const uint8_t *found, const uint64_t *ids, 
         return 0;
     double *bound = malloc(sizeof(double) * (rows * mine + leaf));
     int64_t *seed = malloc(sizeof(int64_t) * rows * (SEEDS + 1));
-    if (bound == NULL || seed == NULL) {
+    uint8_t *seeded = calloc(rows * mine, 1);
+    if (bound == NULL || seed == NULL || seeded == NULL) {
         free(bound);
         free(seed);
+        free(seeded);
         return -1;
     }
     double *acc = bound + rows * mine;
     int64_t *cnt = seed + rows * SEEDS, pruned = 0;
 
-    for (int64_t r = 0; r < rows; r++) {
-        const double *c = comps + r * dim;
-        double *b = bound + r * mine;
-        int64_t *sd = seed + r * SEEDS, ns = 0;
-        for (int64_t t = 0; t < mine; t++) {
-            int64_t l = first + t * step, p;
-            b[t] = leaf_bound(lo + l * dim, hi + l * dim, c, dim, gamma);
-            if (ns == SEEDS && !(b[t] > b[sd[SEEDS - 1]]))
+    /* Bound every (leaf, row) pair, and keep each row's SEEDS best leaves by
+     * bound, the first among equal bounds; cnt counts them for now. */
+    for (int64_t r = 0; r < rows; r++)
+        cnt[r] = 0;
+    for (int64_t t = 0; t < mine; t++) {
+        int64_t l = first + t * step;
+        double *b = bound + t * rows;
+        for (int64_t r = 0; r < rows; r++) {
+            int64_t *sd = seed + r * SEEDS, p;
+            b[r] = leaf_bound(lo + l * dim, hi + l * dim, comps + r * dim, dim, gamma);
+            if (cnt[r] == SEEDS && !(b[r] > bound[sd[SEEDS - 1] * rows + r]))
                 continue;
-            p = ns < SEEDS ? ns++ : SEEDS - 1;
-            for (; p > 0 && b[sd[p - 1]] < b[t]; p--)
+            p = cnt[r] < SEEDS ? cnt[r]++ : SEEDS - 1;
+            for (; p > 0 && bound[sd[p - 1] * rows + r] < b[r]; p--)
                 sd[p] = sd[p - 1];
             sd[p] = t;
         }
-        for (int64_t s = ns; s < SEEDS; s++)
-            sd[s] = -1;
+    }
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *sd = seed + r * SEEDS;
+        int64_t ns = cnt[r];
         cnt[r] = 0;
         for (int64_t s = 0; s < ns; s++) {
             int64_t a = (first + sd[s] * step) * leaf;
-            score_leaf(emb, found, ids, n, a, n - a < leaf ? n - a : leaf, c, dim, gamma, acc,
-                       kk, cnt + r, pos + r * kk, out + r * kk);
+            if (cnt[r] == kk && bound[sd[s] * rows + r] < out[r * kk + kk - 1])
+                break; /* so are the seeds after it: the sweep skips them */
+            seeded[sd[s] * rows + r] = 1;
+            score_leaf(emb, found, ids, n, a, n - a < leaf ? n - a : leaf, comps + r * dim, dim,
+                       gamma, acc, kk, cnt + r, pos + r * kk, out + r * kk);
         }
     }
     for (int64_t t = 0; t < mine; t++) {
         int64_t a = (first + t * step) * leaf, m = n - a < leaf ? n - a : leaf;
+        const double *b = bound + t * rows;
         for (int64_t r = 0; r < rows; r++) {
-            const int64_t *sd = seed + r * SEEDS;
-            int seeded = 0;
-            for (int64_t s = 0; s < SEEDS; s++)
-                seeded |= sd[s] == t;
-            if (seeded)
+            if (seeded[t * rows + r])
                 continue;
-            if (cnt[r] == kk && bound[r * mine + t] < out[r * kk + kk - 1]) {
+            if (cnt[r] == kk && b[r] < out[r * kk + kk - 1]) {
                 pruned += m;
                 continue;
             }
@@ -141,6 +158,7 @@ int64_t leaf_topk(const double *emb, const uint8_t *found, const uint64_t *ids, 
                        pos + r * kk, out + r * kk);
         }
     }
+    free(seeded);
     free(bound);
     free(seed);
     return pruned;
