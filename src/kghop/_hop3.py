@@ -1,4 +1,4 @@
-"""Build, load and call the compiled hop-3 leaf-bound sweep and kd-tree order, `_hop3.c`.
+"""Candidate sets' leaf layouts, and `_hop3.c`: their kd-tree order and the leaf-bound sweep.
 
 load() compiles it once, under a timeout and via a renamed temporary file, into
 `__pycache__/_hop3-<hash>.so`, or a temporary directory if that is not writable.
@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ FLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 # median 10.76 / 9.68 / 10.16 ms with leaves of 16 / 32 / 64 members on
 # generator seed 1, and 10.70 / 10.51 / 10.75 ms on seed 2.
 LEAF = 32
+# Rows a layout build copies at a time, so its temporaries stay small.
+_CHUNK = 4096
 
 
 def compiler() -> list[str] | None:
@@ -90,6 +93,55 @@ def kd_order(lib, matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
                     perm.ctypes.data) < 0:
         raise MemoryError("kd-tree order scratch")
     return perm
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A candidate set in kd-tree leaf order (Bentley, CACM 1975), for the sweep.
+
+    Every array is read-only. Column i of the (dim, n) block `emb` is the
+    embedding of ids[i]. found[i] is False where ids[i] has none; those
+    members come last, with zero columns. Leaf l holds the members from
+    l * LEAF up to (l + 1) * LEAF, the last leaf fewer, and lo[l], hi[l]
+    are the per-dimension min and max of its found members (+inf and -inf
+    when it has none).
+    """
+
+    ids: np.ndarray
+    emb: np.ndarray
+    found: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.ids, self.emb, self.found, self.lo, self.hi):
+            arr.flags.writeable = False
+
+
+def leaf_layout(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+                found: np.ndarray) -> Layout:
+    """The Layout of ids, where ids[i] has row rows[i] of matrix if found[i].
+
+    Without the compiled library nothing sweeps a layout, and its found
+    members keep their given order.
+    """
+    present = np.flatnonzero(found)
+    (n, nf), dim = (len(ids), len(present)), matrix.shape[1]
+    lib = load()
+    if lib is not None:
+        present = present[kd_order(lib, matrix, rows[present])]
+    emb = np.zeros((dim, n))
+    block, src = emb[:, :nf], rows[present]
+    for a in range(0, nf, _CHUNK):
+        block[:, a:a + _CHUNK] = matrix[src[a:a + _CHUNK]].T
+    order = np.concatenate([present, np.flatnonzero(~found)])
+    starts = np.arange(0, nf, LEAF)  # the leaves holding a found member
+    lo = np.full((-(-n // LEAF), dim), np.inf)
+    hi = np.full_like(lo, -np.inf)
+    if nf:
+        lo[:len(starts)] = np.minimum.reduceat(block, starts, axis=1).T
+        hi[:len(starts)] = np.maximum.reduceat(block, starts, axis=1).T
+    return Layout(ids[order], emb, found[order], lo, hi)
 
 
 def leaf_topk(lib, layout, comps: np.ndarray, gamma: float, k: int, first: int = 0, step: int = 1):

@@ -108,11 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pathq.add_argument("--source", required=True, help="source entity (id or label)")
     pathq.add_argument("--target", required=True, help="target entity (id or label)")
     pathq.add_argument("--hops", type=int, default=3, help="maximum path length")
-    pathq.add_argument(
-        "--threads", type=int, default=1,
-        help="checked only: the generic engine runs on the calling thread, "
-             "because threads made it 2-3x slower under the GIL",
-    )
     _topk_gamma_flags(pathq)
     pathq.add_argument(
         "--mode", choices=("optimized", "oracle"), default="optimized",
@@ -200,8 +195,7 @@ def _cmd_pathq(args) -> int:
         paths = oracle_beam_paths(store, source, target, args.hops, args.k, gamma=args.gamma)
     else:
         paths = multihop_reasoning_generic(
-            store, source, target, args.hops, args.k,
-            workers=args.threads, gamma=args.gamma,
+            store, source, target, args.hops, args.k, gamma=args.gamma
         )
     for sp in paths:
         print(f"{sp.score!r}\t{sp.path.render()}")

@@ -183,13 +183,14 @@ def multihop_reasoning_generic(
 
     results = SharedResults(k)
     frontier: list[tuple[Path, np.ndarray]] = [(Path.start(source), src)]
-    for _level in range(num_hops):
-        if not frontier:
-            break
-        with span(trace, "level"):
-            next_frontier: list[tuple[Path, np.ndarray]] = []
-            for entry in frontier:
-                expand_path(entry, next_frontier, store, target, k, results, gamma)
-            frontier = next_frontier
-            count(trace, "frontier", len(frontier))
+    with np.errstate(over="ignore"):  # a composite or sum may overflow; its score is -inf
+        for _level in range(num_hops):
+            if not frontier:
+                break
+            with span(trace, "level"):
+                next_frontier: list[tuple[Path, np.ndarray]] = []
+                for entry in frontier:
+                    expand_path(entry, next_frontier, store, target, k, results, gamma)
+                frontier = next_frontier
+                count(trace, "frontier", len(frontier))
     return results.into_sorted_desc()

@@ -9,8 +9,8 @@ reach it, and every array it exposes is read-only. It holds:
   * the (num_relations, dim) relation-embedding matrix;
   * per relation, an EdgeTable in CSR form: tails sorted by (head,
     tail), a head -> tails-view index, and the cached head and tail sets;
-  * the Layout of each of those sets that a hop has scored, built on
-    first use.
+  * a cache of the leaf layout (`_hop3.Layout`) of each candidate set a
+    hop has scored, built on first use and kept while the set lives.
 
 Scalar lookups (one entity's embedding, one head's tails) go through
 dicts; the sorted arrays back the vectorized gather.
@@ -19,17 +19,18 @@ File formats (UTF-8, LF, no header):
   edge list:  head<TAB>relation<TAB>tail        ASCII decimal integers
   embeddings: id<TAB>v0 v1 ... v{dim-1}          components whitespace-separated floats
 Ids are ASCII digits only (no sign, '_' or spaces) and at most 2**64-1.
-Float components are ASCII without '_' and must be finite.
+Float components are ASCII without '_', and their magnitude is at most
+component_limit(dim).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter_ns
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -46,7 +47,7 @@ from .errors import (
     RelationRangeError,
     shown,
 )
-from .trace import Trace, count
+from .trace import Trace, span
 
 U64_MAX = 2**64 - 1
 # How dataset files are opened. An undecodable byte becomes a lone
@@ -102,6 +103,21 @@ def require_real(value, name: str) -> float:
     return float(value)
 
 
+def component_limit(dim: int) -> float:
+    """The largest magnitude a store accepts for an embedding component: float max / (4 dim).
+
+    Within it, an entity plus a relation (2x the limit) minus an entity
+    (3x) summed over dim components stays below 3/4 of float max, so a
+    three-hop score can overflow only where gamma minus that sum does.
+    """
+    return sys.float_info.max / (4 * dim)
+
+
+def _within(matrix: np.ndarray, limit: float) -> bool:
+    """True unless a component of matrix is NaN or beyond +-limit; no temporaries."""
+    return matrix.size == 0 or bool(matrix.max() <= limit and matrix.min() >= -limit)
+
+
 def _float_matrix(values, what: str) -> np.ndarray:
     """values as float64: DimensionError if ragged, EmbeddingValueError unless real numbers."""
     try:
@@ -133,9 +149,12 @@ def _u64_ids(ids, what: str = "entity id") -> np.ndarray:
     return ids.astype(np.uint64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntitySet:
-    """Deduplicated, ascending-sorted, read-only entity ids; each passes require_id."""
+    """Deduplicated, ascending-sorted, read-only entity ids; each passes require_id.
+
+    Equal and hashed by identity, so a set can key its cached layout.
+    """
 
     ids: np.ndarray
 
@@ -147,56 +166,6 @@ class EntitySet:
 
     def tolist(self) -> list[int]:
         return self.ids.tolist()
-
-
-# Rows a layout build copies at a time, so its temporaries stay small.
-_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class Layout:
-    """A candidate set in kd-tree leaf order (Bentley, CACM 1975), for the hop-3 sweep.
-
-    Every array is read-only. Column i of the (dim, n) block `emb` is the
-    embedding of ids[i]. found[i] is False where ids[i] has none; those
-    members come last, with zero columns. Leaf l holds the members from
-    l * LEAF up to (l + 1) * LEAF (LEAF = _hop3.LEAF), the last leaf
-    fewer, and lo[l], hi[l] are the per-dimension min and max of its found
-    members (+inf and -inf when it has none). Only a layout built with
-    `kd` puts its found members in kd-tree leaf order; any other keeps
-    their given order.
-    """
-
-    ids: np.ndarray
-    emb: np.ndarray
-    found: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def _leaf_layout(matrix: np.ndarray, ids: np.ndarray, rows: np.ndarray,
-                 found: np.ndarray, kd: bool) -> Layout:
-    """The Layout of ids, where ids[i] has row rows[i] of matrix if found[i].
-
-    With kd, and the compiled kernel, the found members go in kd-tree order.
-    """
-    present = np.flatnonzero(found)
-    (n, nf), dim = (len(ids), len(present)), matrix.shape[1]
-    lib = _hop3.load() if kd else None
-    if lib is not None:
-        present = present[_hop3.kd_order(lib, matrix, rows[present])]
-    emb = np.zeros((dim, n))
-    block, src = emb[:, :nf], rows[present]
-    for a in range(0, nf, _CHUNK):
-        block[:, a:a + _CHUNK] = matrix[src[a:a + _CHUNK]].T
-    order = np.concatenate([present, np.flatnonzero(~found)])
-    starts = np.arange(0, nf, _hop3.LEAF)  # the leaves holding a found member
-    lo = np.full((-(-n // _hop3.LEAF), dim), np.inf)
-    hi = np.full_like(lo, -np.inf)
-    if nf:
-        lo[:len(starts)] = np.minimum.reduceat(block, starts, axis=1).T
-        hi[:len(starts)] = np.maximum.reduceat(block, starts, axis=1).T
-    return Layout(*map(_frozen, (ids[order], emb, found[order], lo, hi)))
 
 
 class EdgeTable:
@@ -294,7 +263,8 @@ def ingest_edges(
 def _parse_vectors(stream: Iterable[str], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, (n, dim) matrix, line numbers) of id<TAB>components lines, in file order.
 
-    The first non-finite component raises EmbeddingValueError naming its line.
+    The first component outside component_limit(dim), or NaN, raises
+    EmbeddingValueError naming its line.
     """
     dim = require_count(dim, "dim")
     ids, values, line_nos = array("Q"), array("d"), array("Q")
@@ -318,11 +288,13 @@ def _parse_vectors(stream: Iterable[str], dim: int) -> tuple[np.ndarray, np.ndar
         ids.append(eid)
         line_nos.append(line_no)
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if len(bad):
-        row = matrix[bad[0]]
-        value = float(row[~np.isfinite(row)][0])
-        raise EmbeddingValueError(f"line {line_nos[bad[0]]}: non-finite component {value!r}")
+    limit = component_limit(dim)
+    if not _within(matrix, limit):
+        bad = ~(np.abs(matrix) <= limit)
+        row = np.flatnonzero(bad.any(axis=1))[0]
+        value = float(matrix[row][bad[row]][0])
+        raise EmbeddingValueError(
+            f"line {line_nos[row]}: component {value!r} is not within +-{limit!r}")
     return np.frombuffer(ids, dtype=np.uint64), matrix, np.frombuffer(line_nos, dtype=np.uint64)
 
 
@@ -414,9 +386,11 @@ class KGStore:
             raise DimensionError(
                 f"{ids.shape} entity ids need a ({len(ids)}, {self.dim}) matrix, got {matrix.shape}"
             )
+        limit = component_limit(self.dim)
         for what, emb in (("entity", matrix), ("relation", rel_emb)):
-            if not np.isfinite(emb).all():
-                raise EmbeddingValueError(f"{what} embeddings hold a non-finite component")
+            if not _within(emb, limit):
+                raise EmbeddingValueError(
+                    f"{what} embeddings hold a component not within +-{limit!r}")
         row = _first_repeat(ids)
         if row is not None:
             raise DuplicateIdError(f"duplicate entity id {ids[row]}")
@@ -440,10 +414,8 @@ class KGStore:
             EdgeTable(r, heads[by_rel[lo:hi]], tails[by_rel[lo:hi]])
             for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
-        # The own sets live as long as the store, so their id() names them.
-        self._layouts: dict[int, Layout | None] = {
-            id(s): None for t in self.edge_tables for s in (t.head_set, t.tail_set)
-        }
+        # EntitySet -> _hop3.Layout; an entry goes when its set is freed.
+        self._layouts = weakref.WeakKeyDictionary()
 
     @property
     def num_relations(self) -> int:
@@ -482,26 +454,19 @@ class KGStore:
         rows = np.minimum(np.searchsorted(self._ent_ids, ids), len(self._ent_ids) - 1)
         return rows, self._ent_ids[rows] == ids
 
-    def layout(self, candidates: EntitySet, trace: Trace | None = None) -> Layout:
-        """candidates as a Layout.
+    def layout(self, candidates: EntitySet, trace: Trace | None = None) -> _hop3.Layout:
+        """candidates as a leaf layout, built on first use and cached while the set lives.
 
-        The store's own edge-table head and tail sets are laid out in
-        kd-tree leaf order on first use, and cached. Any other set is laid
-        out in its given order on every call: a kd order costs about as
-        much to build as it saves a 40,000-member hop 3 of 50 composites,
-        so it pays only for a set that is swept again. Concurrent first
-        uses may each build one; they are equal. A build adds its time to
-        the `layout_ns` count of trace's innermost open span, which keeps
-        a query's spans one per hop.
+        The store holds its own edge-table sets, so theirs last as long as
+        the store. A build is timed as a `layout` span of trace. Concurrent
+        first uses may each build one; they are equal.
         """
-        key = id(candidates)
-        built = self._layouts.get(key)
+        built = self._layouts.get(candidates)
         if built is None:
-            ids, start, own = candidates.ids, perf_counter_ns(), key in self._layouts
-            built = _leaf_layout(self._ent_matrix, ids, *self._lookup(ids), kd=own)
-            count(trace, "layout_ns", perf_counter_ns() - start)
-            if own:
-                self._layouts[key] = built
+            with span(trace, "layout"):
+                built = _hop3.leaf_layout(self._ent_matrix, candidates.ids,
+                                          *self._lookup(candidates.ids))
+            self._layouts[candidates] = built
         return built
 
     def gather_entity_embeddings(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

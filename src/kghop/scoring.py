@@ -9,17 +9,18 @@ Scoring has one definition and two realizations that are bit-identical:
 Both accumulate the L1 sum in ascending index order, so a score never
 depends on which code path (or worker chunk) computed it. That makes
 results from the optimized engine, the locked baseline, and the
-sequential oracles exactly equal, not merely close.
+sequential oracles exactly equal, not merely close. Where the sum, or
+gamma minus it, overflows, the score is -inf on every path.
 
 Many composites against one candidate set go through the compiled
-leaf-bound sweep `_hop3.c`, over the set's leaf layout from the store
-(KGStore.layout): it skips every kd-tree leaf whose score bound cannot
-reach a composite's top k, scores the rest, and keeps each composite's
-exact top-k, with the GIL released. Where it cannot be built, the numpy
-kernel runs instead: each composite is streamed through _score_block in
-turn, and its row goes straight to the exact per-row selection
-_row_topk, so one row (320 KB at 40k candidates) stays in L2 cache
-between the two. Both give the same ids and the same bits.
+leaf-bound sweep `_hop3.c`, over the set's kd-ordered leaf layout
+(KGStore.layout, cached while the set lives): it skips every leaf whose
+score bound cannot reach a composite's top k, scores the rest, and keeps
+each composite's exact top-k, with the GIL released. Where it cannot be
+built, the numpy kernel runs instead: each composite is streamed through
+_score_block in turn, and its row goes straight to the exact per-row
+selection _row_topk, so one row (320 KB at 40k candidates) stays in L2
+cache between the two. Both give the same ids and the same bits.
 """
 
 from __future__ import annotations
@@ -202,7 +203,9 @@ def score_candidates_topk_many(
             lo, hi = block_bounds(n, workers, wid)
             ids_blk = cand_ids[lo:hi]
             emb_t, found = store.gather_entity_embeddings(ids_blk)
-            ranked = [_row_topk(ids_blk, _score_block(emb_t, found, c, gamma), k) for c in comps]
+            with np.errstate(over="ignore"):  # gamma minus a large sum may overflow to -inf
+                ranked = [_row_topk(ids_blk, _score_block(emb_t, found, c, gamma), k)
+                          for c in comps]
             locals_[wid] = tuple(map(np.stack, zip(*ranked)))
         else:
             pos, scores, pruned[wid] = _hop3.leaf_topk(kernel, layout, comps, gamma, k, wid, workers)

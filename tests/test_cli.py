@@ -203,8 +203,7 @@ FLAGS = {
             "--dim", "--seed", "--noise", "--plants"},
     "query3": {"--data", "--anchor1", "--rel1", "--anchor2", "--rel2", "--rel3", "--threads",
                "--topk", "--gamma", "--mode", "--merge", "--format"},
-    "pathq": {"--data", "--source", "--target", "--hops", "--threads", "--topk", "--gamma",
-              "--mode"},
+    "pathq": {"--data", "--source", "--target", "--hops", "--topk", "--gamma", "--mode"},
     "bench": {"--entities", "--persons", "--universities", "--edges", "--relations", "--dim",
               "--seed", "--noise", "--plants", "--topk", "--gamma", "--workers", "--modes",
               "--reps", "--warmups", "--hops", "--csv"},
@@ -224,6 +223,7 @@ UNREAD = [
     ("gen", "--mode", "simple"), ("gen", "--merge", "locked"),
     ("query3", "--dim", "16"), ("query3", "--seed", "7"),
     ("pathq", "--dim", "16"), ("pathq", "--seed", "7"), ("pathq", "--merge", "locked"),
+    ("pathq", "--threads", "2"),
     ("bench", "--threads", "2"), ("bench", "--mode", "simple"), ("bench", "--merge", "locked"),
 ]
 
@@ -236,7 +236,7 @@ class TestFlags:
             for name, sub in subparsers.items()
         }
         assert declared == FLAGS
-        assert sum(map(len, declared.values())) == 47
+        assert sum(map(len, declared.values())) == 46
 
     @pytest.mark.parametrize("command,flag,value", UNREAD, ids=[f"{c}{f}" for c, f, _ in UNREAD])
     def test_unread_flag_is_a_usage_error(self, command, flag, value, capsys):

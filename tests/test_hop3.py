@@ -1,5 +1,6 @@
 """The compiled hop-3 leaf sweep against its numpy fallback, bit for bit."""
 
+import gc
 import subprocess
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kghop import _hop3, generic, kgstore
+from kghop import _hop3, generic
 from kghop.bench import kernel_name
 from kghop.generator import GeneratorSpec, generate
 from kghop.kgstore import EntitySet, KGStore
@@ -150,7 +151,7 @@ def test_sweep_prunes_clustered_candidates_exactly():
         trace = Trace()
         with span(trace, "hop"):
             got = score_candidates_topk_many(comps, cands, store, 10, workers, trace=trace)
-        [hop] = trace.spans
+        hop = trace.spans[0]  # the first call adds a `layout` span below it
         assert hop.counts["evals"] == 5 * 2000
         assert hop.counts["pruned"] > 0.5 * 5 * 2000
         with numpy_only():
@@ -161,29 +162,50 @@ def test_layout_is_built_once_per_store_set():
     store = make_store(2, 1, [(1, 0, 2), (1, 0, 3)], {i: [float(i), 0.0] for i in range(4)},
                        [[0.0, 0.0]])
     tails = store.edge_table(0).tail_set
-    with mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build:
+    with mock.patch.object(_hop3, "leaf_layout", wraps=_hop3.leaf_layout) as build:
         trace = Trace()
         assert store.layout(tails, trace) is store.layout(tails, trace)
-        assert build.call_count == 1 and trace.counts["layout_ns"] > 0
-        mine = EntitySet(tails.ids)
-        assert store.layout(mine) is not store.layout(mine)
-        assert build.call_count == 3
+        assert build.call_count == 1 and [s.name for s in trace.spans] == ["layout"]
+        mine = EntitySet(tails.ids)  # a caller's set is cached too, while it lives
+        assert store.layout(mine) is store.layout(mine) is not store.layout(tails)
+        assert build.call_count == 2
     assert store.layout(tails).ids.tolist() == [2, 3]
 
 
+def test_a_set_leaves_the_layout_cache_when_it_is_freed():
+    store = make_store(2, 1, [(1, 0, 2), (1, 0, 3)], {i: [float(i), 0.0] for i in range(4)},
+                       [[0.0, 0.0]])
+    own = len(store._layouts)
+    mine = EntitySet(np.arange(4, dtype=np.uint64))
+    with mock.patch.object(_hop3, "leaf_layout", wraps=_hop3.leaf_layout) as build:
+        for _ in range(3):
+            score_candidates_topk_many([np.zeros(2)], mine, store, 2)
+        assert build.call_count == (_hop3.load() is not None)
+    assert len(store._layouts) == own + build.call_count
+    del mine
+    gc.collect()
+    assert len(store._layouts) == own
+
+
+def kd_layout_ids(store, ids):
+    """ids in the order a layout holds them: the found ones in kd-tree order, then the rest."""
+    rows, found = store._lookup(ids)
+    present = np.flatnonzero(found)
+    present = present[_hop3.kd_order(_hop3.load(), store._ent_matrix, rows[present])]
+    return [*ids[present].tolist(), *ids[~found].tolist()]
+
+
 @needs_compiler
-def test_caller_made_set_is_scored_without_being_cached():
+def test_caller_made_set_is_kd_ordered_and_cached_while_it_lives():
     rng = np.random.default_rng(61)
     store = make_store(3, 1, [(0, 0, i) for i in range(100)],
                        {i: rng.choice([0.0, 1.0], 3) for i in range(100) if i % 9}, [[0.0] * 3])
     mine = EntitySet(np.arange(0, 120, dtype=np.uint64))
     comps = list(rng.choice([0.0, 1.0], (3, 3)))
-    with mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build:
+    with mock.patch.object(_hop3, "leaf_layout", wraps=_hop3.leaf_layout) as build:
         got = [score_candidates_topk_many(comps, mine, store, 40, 2) for _ in range(2)]
-        assert build.call_count == 2 and not build.call_args.kwargs["kd"]
-    found = np.array([i % 9 != 0 for i in range(120)]) & (np.arange(120) < 100)
-    order = np.concatenate([np.flatnonzero(found), np.flatnonzero(~found)])
-    assert store.layout(mine).ids.tolist() == order.tolist()  # the given order, found first
+        assert build.call_count == 1
+    assert store.layout(mine).ids.tolist() == kd_layout_ids(store, mine.ids)
     with numpy_only():
         want = score_candidates_topk_many(comps, mine, store, 40, 2)
     assert bits(got[0]) == bits(got[1]) == bits(want)
@@ -283,12 +305,17 @@ def test_three_hop_query_gathers_nothing_and_lays_out_hop_1_and_3_once():
                                 num_edges=3000, seed=16))
     store = ds.build_store()
     q = ThreeHopQuery(ds.award_anchor, 0, ds.field_anchor, 1, 2, k=20)
-    with (mock.patch.object(kgstore, "_leaf_layout", wraps=kgstore._leaf_layout) as build,
+    persons, universities = (store.edge_table(r).tail_set for r in (0, 2))
+    with (mock.patch.object(_hop3, "leaf_layout", wraps=_hop3.leaf_layout) as build,
           mock.patch.object(KGStore, "gather_entity_embeddings") as gather,
           mock.patch.object(generic, "expand_path") as expand):
         got = [three_hop_query(store, q) for _ in range(2)]
     assert gather.call_count == expand.call_count == 0
-    # hops 1 and 3 score the store's own sets, in kd order, once; hop 2's K persons every query
-    assert [c.kwargs["kd"] for c in build.call_args_list] == [True, False, True, False]
+    # hops 1 and 3 lay out the store's own sets once, in kd order; hop 2 its K persons every query
+    built = [c.args[1].tolist() for c in build.call_args_list]
+    top_k = sorted(p.entity for p in got[0].hop1_persons)
+    assert built == [persons.tolist(), top_k, universities.tolist(), top_k]
+    for own in (persons, universities):
+        assert store.layout(own).ids.tolist() == kd_layout_ids(store, own.ids)
     with numpy_only():
         assert got[0] == got[1] == three_hop_query(store, q)

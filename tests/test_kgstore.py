@@ -268,6 +268,11 @@ class TestExtractEntities:
         assert es.tolist() == [0, 3, 2**63 + 1, 2**64 - 1]
         assert EntitySet(ids=np.array([7, 2], dtype=np.uint32)).tolist() == [2, 7]
 
+    def test_entity_set_is_equal_and_hashed_by_identity(self):
+        a, b = EntitySet(ids=[1, 2, 3]), EntitySet(ids=[1, 2, 3])
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
 
 class TestEntityIndex:
     def test_lookup_returns_the_given_row(self):
