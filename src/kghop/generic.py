@@ -152,6 +152,9 @@ def expand_path(
         next_frontier.append((path.extend(rel, tail), ext[i]))
 
 
+# A composite grows with the hops, so it or its L1 sum may overflow: that
+# score is -inf, as in oracle_beam_paths, and numpy need not warn.
+@np.errstate(over="ignore")
 def multihop_reasoning_generic(
     store: KGStore,
     source: int,
@@ -183,14 +186,13 @@ def multihop_reasoning_generic(
 
     results = SharedResults(k)
     frontier: list[tuple[Path, np.ndarray]] = [(Path.start(source), src)]
-    with np.errstate(over="ignore"):  # a composite or sum may overflow; its score is -inf
-        for _level in range(num_hops):
-            if not frontier:
-                break
-            with span(trace, "level"):
-                next_frontier: list[tuple[Path, np.ndarray]] = []
-                for entry in frontier:
-                    expand_path(entry, next_frontier, store, target, k, results, gamma)
-                frontier = next_frontier
-                count(trace, "frontier", len(frontier))
+    for _level in range(num_hops):
+        if not frontier:
+            break
+        with span(trace, "level"):
+            next_frontier: list[tuple[Path, np.ndarray]] = []
+            for entry in frontier:
+                expand_path(entry, next_frontier, store, target, k, results, gamma)
+            frontier = next_frontier
+            count(trace, "frontier", len(frontier))
     return results.into_sorted_desc()
