@@ -43,11 +43,6 @@ def huge_instances(draw):
     return arrays, over, gamma, draw(st.integers(1, 4))
 
 
-def lines(result):
-    """The machine lines: every score's repr, so equal lines hold equal float bits."""
-    return result.machine_lines()
-
-
 def paths(found):
     return [(sp.path, repr(sp.score)) for sp in found]
 
@@ -63,12 +58,13 @@ def test_engines_and_oracles_agree_near_float_max(case):
         return
     store = KGStore(*arrays)
     q = ThreeHopQuery(0, 0, 1, 1, 2, k=k, gamma=gamma)
-    want = lines(oracle_three_hop(store, q))
+    # machine lines print each score's repr, so equal lines hold equal float bits
+    want = oracle_three_hop(store, q).machine_lines()
     for mode in ("simple", "optimized"):
         for workers in (1, 2):
-            assert lines(three_hop_query(store, q, mode, workers)) == want
+            assert three_hop_query(store, q, mode, workers).machine_lines() == want
     with mock.patch.object(_hop3, "load", lambda: None):
-        assert lines(three_hop_query(store, q, "optimized", 2)) == want
+        assert three_hop_query(store, q, "optimized", 2).machine_lines() == want
     for target in range(1, NODES):
         assert paths(multihop_reasoning_generic(store, 0, target, 3, k, gamma=gamma)) == paths(
             oracle_beam_paths(store, 0, target, 3, k, gamma))
