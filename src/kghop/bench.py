@@ -23,7 +23,7 @@ import csv
 import os
 import statistics
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import _hop3
@@ -50,23 +50,11 @@ CSV_HEADER = ["stage", "mode", "workers", "runtime_ms", "speedup", "kernel"]
 
 MODES_AND_ORACLE = (*MODES, "oracle")
 
-# GeneratorSpec's fields by the names of BenchSpec's dataset fields and the CLI's flags
-DATASET_FIELDS = {f.name.removeprefix("num_"): f.name for f in fields(GeneratorSpec)}
-
-
 @dataclass(frozen=True)
 class BenchSpec:
-    """Dataset parameters (GeneratorSpec's defaults) plus the benchmark grid."""
+    """The generated dataset plus the benchmark grid."""
 
-    entities: int = GeneratorSpec.num_entities
-    persons: int = GeneratorSpec.num_persons
-    universities: int = GeneratorSpec.num_universities
-    edges: int = GeneratorSpec.num_edges
-    relations: int = GeneratorSpec.num_relations
-    dim: int = GeneratorSpec.dim
-    seed: int = GeneratorSpec.seed
-    noise: float = GeneratorSpec.noise
-    plants: int = GeneratorSpec.plants
+    dataset: GeneratorSpec = field(default_factory=GeneratorSpec)
     k: int = ThreeHopQuery.k
     gamma: float = ThreeHopQuery.gamma
     modes: tuple[str, ...] = MODES
@@ -87,9 +75,6 @@ class BenchSpec:
         bad = [m for m in self.modes if m not in MODES_AND_ORACLE]
         if bad:
             raise ArgumentError(f"unknown modes {bad}")
-
-    def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(**{g: getattr(self, b) for b, g in DATASET_FIELDS.items()})
 
 
 def kernel_name() -> str:
@@ -138,7 +123,7 @@ def run_bench(
             stacklevel=2,
         )
 
-    dataset = generate(spec.generator_spec())
+    dataset = generate(spec.dataset)
     store = dataset.build_store()
     query = ThreeHopQuery(
         anchor1=dataset.award_anchor,

@@ -19,7 +19,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .bench import DATASET_FIELDS, MODES_AND_ORACLE, BenchSpec, run_bench
+from .bench import MODES_AND_ORACLE, BenchSpec, run_bench
 from .errors import KghopError, ParseError, QueryError
 from .generator import (
     AWARD_ANCHOR_LABEL,
@@ -46,12 +46,19 @@ _DATASET_HELP = {
 
 
 def _dataset_flags(parser: argparse.ArgumentParser) -> None:
-    """The dataset flags of gen and bench, with GeneratorSpec's defaults."""
-    for flag, field in DATASET_FIELDS.items():
-        default = getattr(GeneratorSpec, field)
+    """The dataset flags of gen and bench: GeneratorSpec's fields, less any `num_` prefix."""
+    for f in fields(GeneratorSpec):
+        flag = f.name.removeprefix("num_")
         parser.add_argument(
-            f"--{flag}", type=type(default), default=default, help=_DATASET_HELP.get(flag)
+            f"--{flag}", dest=f.name, metavar=flag.upper(), type=type(f.default),
+            default=f.default, help=_DATASET_HELP.get(flag),
         )
+
+
+def _spec(cls, args, **given):
+    """cls built from the parsed flags named after its fields, and the given fields."""
+    parsed = {f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**given, **parsed)
 
 
 def _topk_gamma_flags(parser: argparse.ArgumentParser) -> None:
@@ -155,8 +162,7 @@ def _resolve_entity(value: str, labels: dict[str, int], what: str) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(**{g: getattr(args, flag) for flag, g in DATASET_FIELDS.items()})
-    paths = generate(spec).write(args.out)
+    paths = generate(_spec(GeneratorSpec, args)).write(args.out)
     for name in sorted(paths):
         print(f"{name}\t{paths[name]}")
     return 0
@@ -203,7 +209,7 @@ def _cmd_pathq(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = BenchSpec(**{f.name: getattr(args, f.name) for f in fields(BenchSpec)})
+    spec = _spec(BenchSpec, args, dataset=_spec(GeneratorSpec, args))
     run_bench(spec, csv_path=args.csv, echo=True)
     return 0
 

@@ -53,7 +53,11 @@ class RelationRangeError(QueryError):
 
 
 class CapacityError(KghopError):
-    """Requested frontier capacity exceeds what a 64-bit machine could hold."""
+    """A request exceeds what the machine can hold or start.
+
+    A frontier capacity beyond what a 64-bit machine could hold, or a
+    worker gang whose threads the OS would not all start.
+    """
 
 
 class BenchError(KghopError):

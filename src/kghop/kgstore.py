@@ -4,16 +4,17 @@ A KGStore is built once, from arrays, and then only read. It copies
 every array it is given, so later edits to the caller's arrays cannot
 reach it, and every array it exposes is read-only. It holds:
 
-  * the entity ids, sorted, and an (n, dim) entity-embedding matrix
-    whose row i belongs to ids[i] (the only copy of each embedding);
+  * an (n + 1, dim) entity-embedding matrix: the caller's n rows in
+    their order (the only copy of each embedding), then a row of zeros;
+    and a dict from entity id to its row;
   * the (num_relations, dim) relation-embedding matrix;
   * per relation, an EdgeTable in CSR form: tails sorted by (head,
-    tail), a head -> tails-view index, and the cached head and tail sets;
+    tail), a head -> tails-view index, and the cached tail set;
   * a cache of the leaf layout (`_hop3.Layout`) of each candidate set a
     hop has scored, built on first use and kept while the set lives.
 
-Scalar lookups (one entity's embedding, one head's tails) go through
-dicts; the sorted arrays back the vectorized gather.
+Every lookup, scalar or vectorized, finds an entity's row through the
+dict; the vectorized one gives an id with no embedding row -1, the zeros.
 
 File formats (UTF-8, LF, no header):
   edge list:  head<TAB>relation<TAB>tail        ASCII decimal integers
@@ -30,6 +31,7 @@ import sys
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -130,21 +132,24 @@ def _float_matrix(values, what: str) -> np.ndarray:
 
 
 def _u64_ids(ids, what: str = "entity id") -> np.ndarray:
-    """ids as a uint64 array of the same shape; every id must pass require_id.
+    """ids as a 1-D uint64 array: ArgumentError unless 1-D, and every id must pass require_id.
 
     An unsigned array passes unchanged, and a signed integer array is
     checked in one pass and cast. Anything else is checked per element,
-    so ids above 2**63 are not rounded through float64.
+    so ids above 2**63 are not rounded through float64; a ragged list is
+    a 1-D array of lists, which fail the id rule.
     """
-    if isinstance(ids, np.ndarray) and ids.dtype.kind == "u":
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        ids = np.asarray(ids, dtype=object)
+    if ids.ndim != 1:
+        raise ArgumentError(f"{what}s must be 1-D, got shape {ids.shape}")
+    if ids.dtype.kind == "u":
         return ids.astype(np.uint64, copy=False)
-    if isinstance(ids, np.ndarray) and ids.dtype.kind == "i":
-        flat = ids.ravel()
-        if flat.size and flat.min() < 0:
-            require_id(flat[np.argmax(flat < 0)].item(), what)
+    if ids.dtype.kind == "i":
+        if ids.size and ids.min() < 0:
+            require_id(ids[np.argmax(ids < 0)].item(), what)
         return ids.astype(np.uint64)
-    ids = np.asarray(ids, dtype=object)
-    for v in ids.ravel().tolist():
+    for v in ids.tolist():
         require_id(v, what)
     return ids.astype(np.uint64)
 
@@ -187,7 +192,6 @@ class EdgeTable:
             h: self._tails[lo:hi]
             for h, lo, hi in zip(uniq.tolist(), starts.tolist(), ends.tolist())
         }
-        self.head_set = EntitySet(uniq)
         self.tail_set = EntitySet(self._tails)
 
     def tails(self, head: int) -> np.ndarray:
@@ -333,13 +337,9 @@ def load_relation_embeddings(
     return out
 
 
-def extract_entities(table: EdgeTable, side: str) -> EntitySet:
-    """The cached deduplicated sorted ids of one side of an edge table."""
-    if side == "head":
-        return table.head_set
-    if side == "tail":
-        return table.tail_set
-    raise ArgumentError(f"side must be 'head' or 'tail', got {side!r}")
+def extract_entities(table: EdgeTable) -> EntitySet:
+    """The cached deduplicated sorted tail ids of an edge table."""
+    return table.tail_set
 
 
 class KGStore:
@@ -347,7 +347,7 @@ class KGStore:
 
     Every way of building a store (text files, the synthetic generator,
     explicit arrays) ends here. The constructor runs seal(), which
-    copies, sorts, indexes and freezes the inputs.
+    copies, indexes and freezes the inputs.
     """
 
     def __init__(
@@ -363,7 +363,7 @@ class KGStore:
         self.seal()
 
     def seal(self) -> None:
-        """Validate, copy, sort, index and freeze the constructor's arrays.
+        """Validate, copy, index and freeze the constructor's arrays.
 
         The constructor calls it; any later call does nothing.
         """
@@ -382,7 +382,7 @@ class KGStore:
 
         ids = _u64_ids(entity_ids)
         matrix = _float_matrix(entity_matrix, "entity")
-        if ids.ndim != 1 or matrix.shape != (len(ids), self.dim):
+        if matrix.shape != (len(ids), self.dim):
             raise DimensionError(
                 f"{ids.shape} entity ids need a ({len(ids)}, {self.dim}) matrix, got {matrix.shape}"
             )
@@ -394,18 +394,15 @@ class KGStore:
         row = _first_repeat(ids)
         if row is not None:
             raise DuplicateIdError(f"duplicate entity id {ids[row]}")
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        self._ent_ids = _frozen(ids)
-        self._ent_matrix = _frozen(matrix[order])
+        self._ent_matrix = _frozen(np.vstack([matrix, np.zeros((1, self.dim))]))
         self._rows = dict(zip(ids.tolist(), range(len(ids))))
 
         heads, rels, tails = (
             _u64_ids(a, what)
             for a, what in ((heads, "head id"), (rels, "relation id"), (tails, "tail id"))
         )
-        if not (heads.ndim == rels.ndim == tails.ndim == 1 and len(heads) == len(rels) == len(tails)):
-            raise ArgumentError("heads, rels and tails must be 1-D arrays of one length")
+        if not len(heads) == len(rels) == len(tails):
+            raise ArgumentError("heads, rels and tails must be arrays of one length")
         if len(rels):
             self.require_relation(int(rels.max()))
         by_rel = np.argsort(rels, kind="stable")
@@ -444,15 +441,9 @@ class KGStore:
         return self.edge_tables[relation_id]
 
     def _lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, found) of a uint64 id vector.
-
-        rows[i] is the matrix row of ids[i] where found[i], and 0 or
-        another entity's row elsewhere.
-        """
-        if self._ent_ids.size == 0:
-            return np.zeros(len(ids), np.intp), np.zeros(len(ids), bool)
-        rows = np.minimum(np.searchsorted(self._ent_ids, ids), len(self._ent_ids) - 1)
-        return rows, self._ent_ids[rows] == ids
+        """(rows, found) of a uint64 id vector: each id's matrix row, or -1 (the zeros) if none."""
+        rows = np.fromiter(map(self._rows.get, ids.tolist(), repeat(-1)), np.intp, len(ids))
+        return rows, rows >= 0
 
     def layout(self, candidates: EntitySet, trace: Trace | None = None) -> _hop3.Layout:
         """candidates as a leaf layout, built on first use and cached while the set lives.
@@ -472,23 +463,13 @@ class KGStore:
     def gather_entity_embeddings(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized embedding fetch for a 1-D array of ids, sorted or not.
 
-        Each id must pass require_id (an unsigned array passes unchanged),
-        and ids that are not 1-D raise ArgumentError. Returns (emb_t,
-        found): emb_t is a fresh C-contiguous (dim, n) transposed block
-        (missing ids get a zero row, masked out by found).
+        The ids follow _u64_ids's rule (an unsigned array passes
+        unchanged). Returns (emb_t, found): emb_t is a fresh C-contiguous
+        (dim, n) transposed block (missing ids get a zero column, masked
+        out by found).
         """
-        ids = _u64_ids(ids)
-        if ids.ndim != 1:
-            raise ArgumentError(f"ids to gather must be 1-D, got shape {ids.shape}")
-        n = len(ids)
-        if self._ent_ids.size == 0 or n == 0:
-            return (
-                np.zeros((self.dim, n), dtype=np.float64),
-                np.zeros(n, dtype=bool),
-            )
-        idx_c, found = self._lookup(ids)
-        rows = self._ent_matrix[np.where(found, idx_c, 0)]
-        return np.ascontiguousarray(rows.T), found
+        rows, found = self._lookup(_u64_ids(ids))
+        return np.ascontiguousarray(self._ent_matrix[rows].T), found
 
     @classmethod
     def from_files(

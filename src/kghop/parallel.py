@@ -8,7 +8,8 @@ the region function for collectives such as tree reduction.
 If any worker raises, the barrier is aborted so peers blocked in a
 collective fail fast instead of deadlocking; the first real exception
 (lowest worker id, BrokenBarrierError excluded) is re-raised on the
-caller.
+caller. If a worker's thread cannot start, the barrier is aborted too,
+the threads already started are joined, and the run raises CapacityError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
+from .errors import CapacityError
 from .kgstore import require_count
 
 
@@ -42,8 +44,18 @@ class WorkerGang:
             threading.Thread(target=_run, args=(wid,), name=f"kghop-worker-{wid}")
             for wid in range(1, self.workers)
         ]
-        for t in threads:
-            t.start()
+        for started, t in enumerate(threads):
+            try:
+                t.start()
+            except RuntimeError as exc:  # the OS refused a thread
+                self.barrier.abort()
+                for peer in threads[:started]:
+                    peer.join()
+                self.barrier.reset()
+                raise CapacityError(
+                    f"{started} of the {len(threads)} threads of a {self.workers}-worker gang "
+                    f"started: {exc}"
+                ) from exc
         _run(0)
         for t in threads:
             t.join()

@@ -218,7 +218,7 @@ def three_hop_query(
     _require_anchor(store, q.anchor2, "anchor2")
 
     with span(trace, STAGE_TOTAL):
-        persons = extract_entities(store.edge_table(q.rel1), "tail")
+        persons = extract_entities(store.edge_table(q.rel1))
         comp1 = embedding_aggregation(emb1, store.relation_embedding(q.rel1))
         with span(trace, STAGE_HOP1):
             hop1 = _scan(mode, comp1, persons, store, q.k, 1, q.gamma, merge, trace)
@@ -227,7 +227,7 @@ def three_hop_query(
                 hop1, q.anchor2, q.rel2, store, q.k, 1, mode, merge, q.gamma, trace
             )
 
-        universities = extract_entities(store.edge_table(q.rel3), "tail")
+        universities = extract_entities(store.edge_table(q.rel3))
         rel3_emb = store.relation_embedding(q.rel3)
         with span(trace, STAGE_HOP3):
             composites = []

@@ -205,8 +205,11 @@ def test_criterion_6_generic_engine_matches_oracles():
 # Criteria 7-9 share one benchmark dataset: 50 ranked persons x 40k
 # universities = 2e6 affiliation score evaluations (>= 1e6 required).
 PERF_SPEC = BenchSpec(
-    entities=43_000, persons=2000, universities=40_000, edges=48_000,
-    dim=8, seed=4242, noise=0.01, plants=10, k=50,
+    dataset=GeneratorSpec(
+        num_entities=43_000, num_persons=2000, num_universities=40_000, num_edges=48_000,
+        dim=8, seed=4242, noise=0.01, plants=10,
+    ),
+    k=50,
     modes=("simple", "optimized"), workers=(1, 8),
     repetitions=3, warmups=1,
 )

@@ -20,15 +20,18 @@ from kghop.bench import (
     write_csv,
 )
 from kghop.errors import ArgumentError
+from kghop.generator import GeneratorSpec
 from kghop.pipeline import AffiliationResult
 from kghop.topk import ScoredEntity
 
 
 def tiny_spec(**kw):
     defaults = dict(
-        entities=300, persons=60, universities=30, edges=220,
+        dataset=GeneratorSpec(
+            num_entities=300, num_persons=60, num_universities=30, num_edges=220, seed=5
+        ),
         k=10, workers=(1,), modes=("simple", "optimized"),
-        repetitions=3, warmups=0, seed=5,
+        repetitions=3, warmups=0,
     )
     defaults.update(kw)
     return BenchSpec(**defaults)

@@ -250,8 +250,11 @@ class TestFlags:
         monkeypatch.setattr(cli, "run_bench", lambda spec, **kw: seen.append(spec))
         assert main(["bench"]) == 0
         expected = BenchSpec(
-            entities=12000, persons=2000, universities=5000, edges=12000, relations=3,
-            dim=8, seed=42, noise=0.01, plants=10, k=50, gamma=1.0,
+            dataset=GeneratorSpec(
+                num_entities=12000, num_persons=2000, num_universities=5000, num_edges=12000,
+                num_relations=3, dim=8, seed=42, noise=0.01, plants=10,
+            ),
+            k=50, gamma=1.0,
             modes=("simple", "optimized"), workers=(1, 2, 4, 8), repetitions=5, warmups=1,
             generic_hops=3,
         )

@@ -111,7 +111,7 @@ class TestSchema:
         store = ds.build_store()
         from kghop.kgstore import extract_entities
 
-        persons = extract_entities(store.edge_table(0), "tail")
+        persons = extract_entities(store.edge_table(0))
         assert persons.tolist() == ds.person_ids.tolist()
 
     def test_every_university_reachable(self):
@@ -119,7 +119,7 @@ class TestSchema:
         store = ds.build_store()
         from kghop.kgstore import extract_entities
 
-        unis = extract_entities(store.edge_table(2), "tail")
+        unis = extract_entities(store.edge_table(2))
         assert unis.tolist() == ds.university_ids.tolist()
 
     def test_extra_relations_get_edges(self):

@@ -277,7 +277,7 @@ def test_built_library_is_cached_by_source_and_command(tmp_path):
     assert sorted(p.name for p in built.parent.iterdir()) == [built.name]
 
 
-def test_block_topk_rejects_a_mismatched_block():
+def test_leaf_topk_rejects_a_mismatched_layout():
     store, cands, _ = leaf_store(100, 3)
     layout = store.layout(cands)
     for comps, first, step in ((np.zeros((1, 7)), 0, 1), (np.zeros((1, 8)), 2, 2)):

@@ -33,6 +33,7 @@ from kghop.kgstore import (
 )
 from kghop.oracle import oracle_three_hop
 from kghop.pipeline import ThreeHopQuery, three_hop_query
+from kghop.scoring import score_candidates_topk_many
 
 from helpers import make_store
 
@@ -207,11 +208,11 @@ class TestRelationEmbeddings:
 class TestExtractEntities:
     def test_tail_dedup(self):
         tables = edge_tables(["0\t0\t2", "3\t0\t2"], num_relations=1)
-        assert extract_entities(tables[0], "tail").tolist() == [2]
+        assert extract_entities(tables[0]).tolist() == [2]
 
     def test_head_side(self):
         tables = edge_tables(["0\t0\t2", "3\t0\t4"], num_relations=1)
-        assert extract_entities(tables[0], "head").tolist() == [0, 3]
+        assert list(tables[0].heads()) == [0, 3]
 
     def test_matches_raw_triple_scan(self):
         rng = np.random.default_rng(4)
@@ -224,19 +225,14 @@ class TestExtractEntities:
         )
         lines = [f"{h}\t{r}\t{t}" for h, r, t in triples]
         tables = edge_tables(lines, num_relations=1)
-        assert extract_entities(tables[0], "head").tolist() == sorted({h for h, _, _ in triples})
-        assert extract_entities(tables[0], "tail").tolist() == sorted({t for _, _, t in triples})
+        assert list(tables[0].heads()) == sorted({h for h, _, _ in triples})
+        assert extract_entities(tables[0]).tolist() == sorted({t for _, _, t in triples})
 
     def test_returns_the_cached_set(self):
         tables = edge_tables(["0\t0\t2", "3\t0\t4"], num_relations=1)
-        tails = extract_entities(tables[0], "tail")
-        assert extract_entities(tables[0], "tail") is tails
+        tails = extract_entities(tables[0])
+        assert extract_entities(tables[0]) is tails
         assert not tails.ids.flags.writeable
-
-    def test_invalid_side(self):
-        tables = edge_tables([], num_relations=1)
-        with pytest.raises(ArgumentError):
-            extract_entities(tables[0], "both")
 
     def test_entity_set_normalizes(self):
         es = EntitySet(ids=np.array([5, 1, 5, 3], dtype=np.uint64))
@@ -311,12 +307,12 @@ class TestEntityIndex:
 class TestKGStore:
     def test_signed_ids_are_checked_in_one_pass(self):
         store = make_store(2, 1, [], {1: [1.0, 2.0], 2**40: [3.0, 4.0]}, [[0.0, 0.0]])
-        ids = np.array([[2**40, 7], [1, 0]], dtype=np.int64)
+        ids = np.array([2**40, 7, 1, 0], dtype=np.int64)
         with mock.patch.object(kgstore, "require_id", side_effect=AssertionError):
             signed = kgstore._u64_ids(ids)
-            emb_t, found = store.gather_entity_embeddings(ids[0])
+            emb_t, found = store.gather_entity_embeddings(ids[:2])
         assert signed.dtype == np.uint64 and signed.tolist() == ids.astype(np.uint64).tolist()
-        want_t, want_found = store.gather_entity_embeddings(ids[0].astype(np.uint64))
+        want_t, want_found = store.gather_entity_embeddings(ids[:2].astype(np.uint64))
         assert emb_t.tobytes() == want_t.tobytes() and found.tolist() == want_found.tolist()
         with pytest.raises(QueryError, match="entity id -5 is not"):
             kgstore._u64_ids(np.array([3, -5, -1], dtype=np.int32))
@@ -357,6 +353,10 @@ class TestKGStore:
         store = make_store(2, 1, [], {1: [1.0, 2.0]}, [[0.0, 0.0]])
         with pytest.raises(ArgumentError, match="1-D"):
             store.gather_entity_embeddings(raw)
+        with pytest.raises(ArgumentError, match="1-D"):
+            EntitySet(raw)
+        with pytest.raises(ArgumentError, match="1-D"):
+            score_candidates_topk_many([np.zeros(2)], raw, store, 2)
         emb_t, found = store.gather_entity_embeddings([1, np.uint64(2), 2**64 - 1])
         assert found.tolist() == [True, False, False] and emb_t[:, 0].tolist() == [1.0, 2.0]
 
@@ -451,7 +451,7 @@ class TestImmutability:
             lambda: store.relation_embeddings.__setitem__((0, 0), 0.0),
             lambda: store.relation_embedding(0).__setitem__(0, 0.0),
             lambda: table.tails(head).__setitem__(0, 0),
-            lambda: extract_entities(table, "tail").ids.__setitem__(0, 0),
+            lambda: extract_entities(table).ids.__setitem__(0, 0),
         ]
         for write in writes:
             with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Selector and reduction tests against full-sort references."""
 
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kghop.errors import ArgumentError
+from kghop.errors import ArgumentError, CapacityError
 from kghop.topk import (
     NEG_INF,
     ScoredEntity,
@@ -243,3 +246,24 @@ class TestGangFailureHandling:
 
         gang.run(ok)
         assert sorted(seen) == [0, 1, 2]
+
+    def test_thread_that_cannot_start_strands_no_worker(self):
+        from kghop.parallel import WorkerGang
+
+        gang = WorkerGang(4)
+        real_start, started = threading.Thread.start, []
+
+        def start(thread):  # the OS refuses the second thread
+            started.append(thread)
+            if len(started) == 2:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        try:
+            with mock.patch.object(threading.Thread, "start", start):
+                with pytest.raises(CapacityError, match="1 of the 3 threads of a 4-worker gang"):
+                    gang.run(lambda wid: gang.barrier.wait())
+            assert not started[0].is_alive()
+            assert gang.barrier.n_waiting == 0 and not gang.barrier.broken
+        finally:
+            gang.barrier.abort()  # a failing run must not leave worker 1 blocked
