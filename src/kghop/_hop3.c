@@ -28,6 +28,20 @@
  *    it with a lower id, and is inserted by (score desc, id asc). Leaf order
  *    is not id order, so ids, never positions, break ties.
  *
+ * The leaf test. Once a leaf's members are scored against a full row, one
+ * branch-free pass takes their least L1 sum; when gamma minus it is below
+ * the row's k-th score, no member can enter and the row is left as it was.
+ * gamma minus a sum is monotone in the sum, so that is the leaf's best
+ * score, rounding included. A member with no embedding counts by its zero
+ * column, which can only overstate its -inf. A member equal to the k-th
+ * score may still enter by a lower id, so the test keeps it: >=, not >.
+ *
+ * Buffers. score_leaf's pointers are restrict: the layout (emb, found, ids),
+ * the composite, the scratch scores, the row's fill and the row (pos, sc)
+ * never overlap one another. leaf_topk's caller passes pos and out apart
+ * from the layout and the composites, and its scratch is its own malloc,
+ * so each call, and each thread, has its own.
+ *
  * The sweep is leaf-major: each row first scores its SEEDS best-bound
  * leaves, best first and only while their bound reaches its k-th score,
  * which fills it and sets its threshold; then each leaf is visited
@@ -60,16 +74,28 @@ static double leaf_bound(const double *lo, const double *hi, const double *c, in
     return gamma - gap;
 }
 
-/* Score members a .. a + m of the block against c into row (pos, sc) of fill *cnt. */
-static void score_leaf(const double *emb, const uint8_t *found, const uint64_t *ids, int64_t n,
-                       int64_t a, int64_t m, const double *c, int64_t dim, double gamma,
-                       double *acc, int64_t kk, int64_t *cnt, int64_t *pos, double *sc)
+/* Score members a .. a + m of the block against c into row (pos, sc) of fill
+ * *cnt; acc is scratch for their m sums. No buffer overlaps another (see the
+ * header), so restrict lets the loops run without alias checks and keep *cnt
+ * and the k-th score in registers. */
+static void score_leaf(const double *restrict emb, const uint8_t *restrict found,
+                       const uint64_t *restrict ids, int64_t n, int64_t a, int64_t m,
+                       const double *restrict c, int64_t dim, double gamma,
+                       double *restrict acc, int64_t kk, int64_t *restrict cnt,
+                       int64_t *restrict pos, double *restrict sc)
 {
     for (int64_t i = 0; i < m; i++)
         acc[i] = fabs(emb[a + i] - c[0]);
     for (int64_t j = 1; j < dim; j++)
         for (int64_t i = 0; i < m; i++)
             acc[i] += fabs(emb[j * n + a + i] - c[j]);
+    if (*cnt == kk) { /* the leaf test, as the header states it */
+        double near = INFINITY;
+        for (int64_t i = 0; i < m; i++)
+            near = acc[i] < near ? acc[i] : near;
+        if (!(gamma - near >= sc[kk - 1]))
+            return;
+    }
     for (int64_t i = 0; i < m; i++) {
         int64_t cand = a + i, p = *cnt;
         uint64_t id = ids[cand];

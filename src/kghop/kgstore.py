@@ -2,7 +2,8 @@
 
 A KGStore is built once, from arrays, and then only read. It copies
 every array it is given, so later edits to the caller's arrays cannot
-reach it, and every array it exposes is read-only. It holds:
+reach it, every array it exposes is read-only, and neither it nor its
+edge tables let an attribute be rebound once built. It holds:
 
   * an (n + 1, dim) entity-embedding matrix: the caller's n rows in
     their order (the only copy of each embedding), then a row of zeros;
@@ -173,12 +174,32 @@ class EntitySet:
         return self.ids.tolist()
 
 
-class EdgeTable:
+class _Sealed:
+    """Refuses to assign or delete an attribute once `_sealed` is set.
+
+    Reads stay plain attribute loads.
+    """
+
+    _sealed = False
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._sealed:
+            raise AttributeError(f"a sealed {type(self).__name__} cannot rebind {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self._sealed:
+            raise AttributeError(f"a sealed {type(self).__name__} cannot delete {name!r}")
+        object.__delattr__(self, name)
+
+
+class EdgeTable(_Sealed):
     """Multi-map head -> tails of one relation, in CSR form.
 
     Tails are sorted by (head, tail), so the table is canonical whatever
     order the edges came in; duplicates are kept (the graph is a
     multigraph). tails(head) returns a read-only view into that array.
+    Its attributes refuse assignment once it is built.
     """
 
     def __init__(self, relation: int, heads: np.ndarray, tails: np.ndarray):
@@ -193,6 +214,7 @@ class EdgeTable:
             for h, lo, hi in zip(uniq.tolist(), starts.tolist(), ends.tolist())
         }
         self.tail_set = EntitySet(self._tails)
+        self._sealed = True
 
     def tails(self, head: int) -> np.ndarray:
         """Sorted tails for head: empty if absent, QueryError unless an int (not a bool)."""
@@ -342,12 +364,13 @@ def extract_entities(table: EdgeTable) -> EntitySet:
     return table.tail_set
 
 
-class KGStore:
+class KGStore(_Sealed):
     """Relation-grouped edge tables plus entity and relation embeddings.
 
     Every way of building a store (text files, the synthetic generator,
     explicit arrays) ends here. The constructor runs seal(), which
-    copies, indexes and freezes the inputs.
+    copies, indexes and freezes the inputs; after it, no attribute can
+    be rebound, and edge_tables is a tuple.
     """
 
     def __init__(
@@ -407,12 +430,13 @@ class KGStore:
             self.require_relation(int(rels.max()))
         by_rel = np.argsort(rels, kind="stable")
         bounds = np.searchsorted(rels[by_rel], np.arange(self.num_relations + 1)).tolist()
-        self.edge_tables = [
+        self.edge_tables = tuple(
             EdgeTable(r, heads[by_rel[lo:hi]], tails[by_rel[lo:hi]])
             for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
+        )
         # EntitySet -> _hop3.Layout; an entry goes when its set is freed.
         self._layouts = weakref.WeakKeyDictionary()
+        self._sealed = True
 
     @property
     def num_relations(self) -> int:

@@ -230,10 +230,12 @@ def three_hop_query(
         universities = extract_entities(store.edge_table(q.rel3))
         rel3_emb = store.relation_embedding(q.rel3)
         with span(trace, STAGE_HOP3):
-            composites = []
-            for p in hop2:
-                pe = store.entity_embedding(p.entity)
-                composites.append(None if pe is None else embedding_aggregation(pe, rel3_emb))
+            embs = [store.entity_embedding(p.entity) for p in hop2]
+            live = [e for e in embs if e is not None]
+            # Every person's composite in one float64 add, bit for bit
+            # embedding_aggregation's; persons with no embedding get None.
+            block = iter(np.array(live).reshape(len(live), store.dim) + rel3_emb)
+            composites = [None if e is None else next(block) for e in embs]
             if mode == "optimized":
                 per_person = score_candidates_topk_many(
                     composites, universities, store, q.k, workers, q.gamma, merge, trace

@@ -127,6 +127,32 @@ def _row_topk(ids_blk: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarr
     return ids_blk[best], scores[best]
 
 
+def _composite_block(composites, live_idx: list, dim: int) -> np.ndarray:
+    """The composites at live_idx as one (rows, dim) float64 block.
+
+    The block is stacked and checked in one pass. Only when it is not
+    (rows, dim) and finite are the composites checked one by one, so the
+    DimensionError names the shape of the first of the wrong shape, and
+    the ArgumentError the position of the first that is not finite.
+    """
+    live = [composites[qi] for qi in live_idx]
+    try:
+        block = np.array(live, dtype=np.float64)
+        if block.shape == (len(live), dim) and np.isfinite(block).all():
+            return block
+    except (TypeError, ValueError):
+        pass
+    arrs = []
+    for qi, c in zip(live_idx, live):
+        arr = np.asarray(c, dtype=np.float64)
+        if arr.shape != (dim,):
+            raise DimensionError(f"composite shape {arr.shape} != ({dim},)")
+        if not np.isfinite(arr).all():
+            raise ArgumentError(f"composite {qi} is not finite: {arr.tolist()}")
+        arrs.append(arr)
+    return np.array(arrs).reshape(len(live), dim)
+
+
 def score_candidates_topk_many(
     composites: list,
     candidates,
@@ -160,30 +186,19 @@ def score_candidates_topk_many(
     workers = require_count(workers, "workers")
     gamma = require_real(gamma, "gamma")
     require_merge(merge)
-    live_idx = []
-    live_comps = []
-    for qi, c in enumerate(composites):
-        if c is None:
-            continue
-        arr = np.asarray(c, dtype=np.float64)
-        if arr.shape != (store.dim,):
-            raise DimensionError(f"composite shape {arr.shape} != ({store.dim},)")
-        if not np.isfinite(arr).all():
-            raise ArgumentError(f"composite {qi} is not finite: {arr.tolist()}")
-        live_idx.append(qi)
-        live_comps.append(arr)
+    live_idx = [qi for qi, c in enumerate(composites) if c is not None]
+    comps = _composite_block(composites, live_idx, store.dim)
 
     out: list = [None] * len(composites)
     if not isinstance(candidates, EntitySet):
         candidates = EntitySet(candidates)
     cand_ids = candidates.ids
     n = len(cand_ids)
-    count(trace, "evals", n * len(live_comps))
-    if not live_comps:
+    count(trace, "evals", n * len(live_idx))
+    if not live_idx:
         return out
 
     kernel = _hop3.load()
-    comps = np.stack(live_comps)
     layout = None if kernel is None else store.layout(candidates, trace)
     gang = WorkerGang(workers)
     locals_: list = [None] * workers
@@ -221,11 +236,8 @@ def score_candidates_topk_many(
     gang.run(work)
     count(trace, "pruned", sum(pruned))
     ids_mat, scores_mat = final[0]
-    for row, qi in enumerate(live_idx):
-        out[qi] = [
-            ScoredEntity(e, s)
-            for e, s in zip(ids_mat[row].tolist(), scores_mat[row].tolist())
-        ]
+    for qi, ids_row, scores_row in zip(live_idx, ids_mat.tolist(), scores_mat.tolist()):
+        out[qi] = list(map(ScoredEntity._make, zip(ids_row, scores_row)))
     return out
 
 

@@ -158,6 +158,35 @@ def test_sweep_prunes_clustered_candidates_exactly():
             assert bits(got) == bits(score_candidates_topk_many(comps, cands, store, 10, workers))
 
 
+@needs_compiler
+def test_leaf_test_lets_a_tie_with_the_kth_score_in_by_its_lower_id():
+    # dim 1, composite 0, gamma 1: every leaf holds members at -0.5 and 0.5,
+    # so every leaf's bound is 1.0. Leaf 0 also holds ids 100 and 101 at 0,
+    # which fill the k = 2 row from its seed leaves with scores of exactly
+    # 1.0. Leaf 37, past the 32 seed leaves, holds id 5 at 0: it ties the
+    # k-th score and enters by its lower id. Its other members, and every
+    # member of the other leaves, score 0.5 and leave the row unchanged.
+    leaves, leaf = 40, _hop3.LEAF
+    n = leaves * leaf
+    x = np.where(np.arange(n) % 2, 0.5, -0.5)
+    ids = np.arange(1000, 1000 + n, dtype=np.uint64)
+    for pos, eid in ((0, 100), (1, 101), (37 * leaf + 3, 5)):
+        x[pos], ids[pos] = 0.0, eid
+    emb = x.reshape(1, n)
+    lo = emb.reshape(leaves, leaf).min(axis=1, keepdims=True)
+    hi = emb.reshape(leaves, leaf).max(axis=1, keepdims=True)
+    layout = _hop3.Layout(ids, emb, np.ones(n, bool), lo, hi)
+    pos, scores, pruned = _hop3.leaf_topk(_hop3.load(), layout, np.zeros((1, 1)), 1.0, 2)
+    assert pruned == 0  # no bound skips a leaf: the leaf test alone decides
+    assert layout.ids[pos[0]].tolist() == [5, 100]
+    assert scores[0].tolist() == [1.0, 1.0]
+    by_id = np.argsort(ids)  # the numpy kernel ranks its members in id order
+    want_ids, want_scores = _row_topk(
+        ids[by_id], _score_block(emb[:, by_id], layout.found, np.zeros(1), 1.0), 2)
+    assert layout.ids[pos[0]].tolist() == want_ids.tolist()
+    assert scores[0].view(np.int64).tolist() == want_scores.view(np.int64).tolist()
+
+
 def test_layout_is_built_once_per_store_set():
     store = make_store(2, 1, [(1, 0, 2), (1, 0, 3)], {i: [float(i), 0.0] for i in range(4)},
                        [[0.0, 0.0]])

@@ -458,6 +458,25 @@ class TestImmutability:
                 write()
 
 
+    def test_a_sealed_store_and_its_tables_refuse_assignment(self):
+        store = make_store(2, 2, [(1, 0, 2), (2, 1, 3)], {i: [float(i), 0.0] for i in range(4)},
+                           [[0.0, 0.0], [1.0, 1.0]])
+        table, other = store.edge_tables
+        public = {obj: sorted(n for n in vars(obj) if not n.startswith("_"))
+                  for obj in (store, table)}
+        assert public == {store: ["dim", "edge_tables", "relation_embeddings"],
+                          table: ["relation", "tail_set"]}
+        for obj, names in public.items():
+            for name in names:
+                with pytest.raises(AttributeError, match="sealed"):
+                    setattr(obj, name, getattr(other, name, None))
+                with pytest.raises(AttributeError, match="sealed"):
+                    delattr(obj, name)
+        with pytest.raises(TypeError):
+            store.edge_tables[0] = other
+        assert store.edge_table(0) is table and table.relation == 0 and store.dim == 2
+        assert store.edge_table(0).tails(1).tolist() == [2]
+
 def first_line_error(loader, lines):
     with pytest.raises(ParseError) as info:
         loader(lines)
