@@ -14,7 +14,7 @@ CLIENTS = 2
 
 
 def _tasks(ds):
-    """Queries as (kind, args): query3 at 1 and 2 workers with both merges, and pathq, interleaved."""
+    """(kind, args) pairs: query3 at 1 and 2 workers with both merges, and pathq, interleaved."""
     rng = np.random.default_rng(23)
     planted = np.isin(ds.heads, ds.plant_ids) & (ds.rels == REL_AFFILIATION)
     targets = [*np.unique(ds.tails[planted])[:3].tolist(),

@@ -457,7 +457,6 @@ class TestImmutability:
             with pytest.raises(ValueError):
                 write()
 
-
     def test_a_sealed_store_and_its_tables_refuse_assignment(self):
         store = make_store(2, 2, [(1, 0, 2), (2, 1, 3)], {i: [float(i), 0.0] for i in range(4)},
                            [[0.0, 0.0], [1.0, 1.0]])
@@ -476,6 +475,7 @@ class TestImmutability:
             store.edge_tables[0] = other
         assert store.edge_table(0) is table and table.relation == 0 and store.dim == 2
         assert store.edge_table(0).tails(1).tolist() == [2]
+
 
 def first_line_error(loader, lines):
     with pytest.raises(ParseError) as info:
